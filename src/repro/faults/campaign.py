@@ -17,23 +17,25 @@ worker-utilisation gauge.
 Campaigns are also *resilient* (see DESIGN.md, "Resilience
 architecture"): :meth:`FaultCampaign.run` accepts per-fault and
 campaign-wide deadlines, periodic atomic checkpointing with
-``resume=True``, and — in pooled mode — survives hung and crashed
-worker processes by killing/rebuilding the pool, re-running in-flight
-faults and quarantining faults that kill a worker twice.  Everything
+``resume=True``, and — in pooled mode, which runs on the shard
+executor of :class:`~repro.service.scheduler.CampaignScheduler` —
+survives hung and crashed worker processes by killing/rebuilding the
+pool, re-running in-flight faults and quarantining faults that kill a
+worker twice.  Everything
 that degraded the run is accounted for in the result's
 :class:`~repro.resilience.failure.FailureReport`.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import os
 import pickle
 import time
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional
 
 from repro.errors import DeadlineExceeded
 from repro.faults.injector import inject
@@ -51,10 +53,6 @@ from repro.service.spec import CampaignSpec
 _ERROR_DETECTED = "detected"
 _ERROR_UNDETECTED = "undetected"
 
-#: extra seconds granted on top of ``fault_timeout_s`` before the parent
-#: hard-kills a pooled worker that missed every cooperative check.
-_DEFAULT_TIMEOUT_GRACE_S = 1.0
-
 #: fatal worker crashes before a fault is quarantined as a poison pill.
 _QUARANTINE_AFTER = 2
 
@@ -66,26 +64,6 @@ _QUARANTINE_AFTER = 2
 #: run.  Never crosses a process boundary: workers resolve fallbacks
 #: in-process before returning.
 BATCH_FALLBACK = object()
-
-#: sentinel distinguishing "kwarg not passed" from an explicit ``None``
-#: in the deprecated ``FaultCampaign.run()`` option kwargs.
-_UNSET = object()
-
-#: process-wide once-flag for the legacy run-kwarg warning.
-_LEGACY_KWARGS_WARNED = False
-
-
-def _warn_legacy_kwargs(names: List[str]) -> None:
-    global _LEGACY_KWARGS_WARNED
-    if _LEGACY_KWARGS_WARNED:
-        return
-    _LEGACY_KWARGS_WARNED = True
-    warnings.warn(
-        f"FaultCampaign.run() option kwargs ({', '.join(names)}) are "
-        "deprecated; pass one CampaignSpec instead: "
-        "run(target, faults, spec=CampaignSpec(...))",
-        DeprecationWarning, stacklevel=3)
-
 
 @dataclass
 class FaultOutcome:
@@ -555,6 +533,411 @@ def _graft_spans(parent: Span, outcome: FaultOutcome) -> None:
     outcome.span = f"{parent.name}/{name}"
 
 
+
+
+def _evaluate_shard(evaluate, faults: List[Fault]) -> List[FaultOutcome]:
+    """Driver for a per-fault shard: the :func:`_evaluate_fault` partial
+    applied in order, in-process or in a pool worker alike.
+    Module-level so a pool can pickle it."""
+    return [evaluate(f) for f in faults]
+
+
+def _call_reference(technique, target) -> Any:
+    return technique(target)
+
+
+@dataclass
+class _Shard:
+    """One dispatchable unit: a reference computation or a fault chunk."""
+
+    kind: str                    # "ref" | "faults"
+    indices: List[int] = field(default_factory=list)
+    #: march the chunk through the technique's batched path
+    batched: bool = False
+    #: open dispatch span while the shard is in flight (None when the
+    #: job is untraced); detached from any tracer until grafted.
+    span: Any = field(default=None, compare=False)
+
+
+class _JobRun:
+    """One campaign job, from staging to its :class:`CampaignResult`.
+
+    Both execution routes share it.  :meth:`FaultCampaign.run` stages a
+    job and runs its shards inline on the caller's thread, or hands them
+    to the scheduler's shard executor when ``workers > 1``;
+    :class:`~repro.service.scheduler.CampaignScheduler` stages every
+    submitted job the same way.  Staging restores the checkpoint,
+    replays the result cache and runs the surrogate prescreen; the
+    faults left over become shards.  Outcomes are recorded strictly in
+    fault order, so progress callbacks, heartbeats and checkpoints see
+    the serial sequence on every route.
+    """
+
+    def __init__(self, spec: CampaignSpec, cache: Optional[Any] = None, *,
+                 trace_ctx: Optional[TraceContext] = None,
+                 collect_obs: bool = False, label: str = "",
+                 best_effort_checkpoint: bool = False) -> None:
+        self.spec = spec
+        self.fault_list: List[Fault] = list(spec.faults)
+        self.total = len(self.fault_list)
+        self.failures = FailureReport()
+        self.outcomes: Dict[int, FaultOutcome] = {}
+        self.buffered: Dict[int, FaultOutcome] = {}
+        self.emit_queue: Deque[int] = deque()
+        self.ready: Deque[_Shard] = deque()
+        self.inflight = 0
+        #: faults settled or in flight (the scheduler's fair-share key)
+        self.dispatched = 0
+        #: strikes of faults that were in flight when a worker died and
+        #: have not been cleared since; non-empty means blame is pending
+        self.crash_counts: Dict[int, int] = {}
+        self.reference: Any = spec.reference
+        self.evaluate: Optional[Callable[[Fault], FaultOutcome]] = None
+        self.evaluate_batch: Optional[Callable[[List[Fault]], Any]] = None
+        self.trace_ctx = trace_ctx
+        self.collect_obs = collect_obs
+        self.tags = {"job": label} if label else {}
+        self.best_effort_checkpoint = best_effort_checkpoint
+        self.cache = cache
+        self.context_key: Optional[str] = None
+        self.surrogate_key: Optional[str] = None
+        self.cache_stats0: Any = None
+        if cache is not None:
+            self.context_key = spec.context_key()
+            self.cache_stats0 = cache.stats.snapshot()
+            if spec.prescreen == "surrogate":
+                # surrogate verdicts live under their own context key —
+                # prescreened and full runs must never replay each
+                # other's entries (the surrogate's score is not the
+                # transient's)
+                self.surrogate_key = spec.surrogate_context_key()
+        self.last_progress: Any = None
+        self.tracker = ProgressTracker(self.total, callback=self._progress,
+                                       heartbeat_every=spec.heartbeat_every,
+                                       label=label)
+        self.deadline = (Deadline(spec.campaign_deadline_s, label="campaign")
+                         if spec.campaign_deadline_s is not None else None)
+        self.ckpt: Optional[CampaignCheckpoint] = None
+        if spec.checkpoint is not None:
+            self.ckpt = CampaignCheckpoint(spec.checkpoint,
+                                           spec.content_key(),
+                                           every=spec.checkpoint_every)
+        #: ``(t_start, n_in, n_escalated)`` of the prescreen pass, if any
+        self.prescreened: Optional[tuple] = None
+        # scheduler-side state: the job handle, admission seq, whether
+        # shards go to the process pool (else threads), the detached
+        # ``service.job`` span
+        self.job: Any = None
+        self.seq = 0
+        self.pooled = True
+        self.job_span: Optional[Span] = None
+        self.t0 = time.perf_counter()
+
+    @property
+    def name(self) -> str:
+        return self.spec.name or getattr(self.spec.target, "name",
+                                         type(self.spec.target).__name__)
+
+    @property
+    def share(self) -> float:
+        """Fraction of the universe already dispatched (fair-share
+        ordering key; cached/restored faults count as dispatched)."""
+        return self.dispatched / self.total if self.total else 1.0
+
+    def _progress(self, progress: Any) -> None:
+        self.last_progress = progress
+        if self.spec.progress is not None:
+            self.spec.progress(progress)
+
+    # -- staging -------------------------------------------------------
+    def stage(self) -> None:
+        """Replay checkpointed outcomes, then cache hits, then surrogate
+        verdicts, each in fault order; the faults left wait in
+        ``emit_queue`` for :meth:`build_shards`."""
+        if self.ckpt is not None and self.spec.resume:
+            restored = self.ckpt.load()
+            for idx in sorted(restored):
+                if 0 <= idx < self.total:
+                    self.dispatched += 1
+                    self.record(idx, restored[idx], save=False)
+        pending: List[int] = []
+        for idx in range(self.total):
+            if idx in self.outcomes:
+                continue
+            hit = self.cache_hit(idx) if self.cache is not None else None
+            if hit is None:
+                pending.append(idx)
+            else:
+                self.dispatched += 1
+                self.record(idx, hit)
+        if pending and self.spec.prescreen == "surrogate":
+            pending = self._prescreen(pending)
+        self.emit_queue = deque(pending)
+
+    def cache_hit(self, idx: int,
+                  count_miss: bool = True) -> Optional[FaultOutcome]:
+        """A prescreened job probes the surrogate context first
+        (silently — the transient context owns the miss counter), then
+        the shared transient context, so a warm prescreened re-run
+        replays both verdict kinds without a simulation."""
+        fault, threshold = self.fault_list[idx], self.spec.threshold
+        hit = None
+        if self.surrogate_key is not None:
+            hit = self.cache.get(self.surrogate_key, fault, threshold,
+                                 count_miss=False)
+        if hit is None:
+            hit = self.cache.get(self.context_key, fault, threshold,
+                                 count_miss=count_miss)
+        return hit
+
+    def _prescreen(self, pending: List[int]) -> List[int]:
+        # runs before the MNA reference is even computed: a fully
+        # surrogate-decided job performs zero transient simulations
+        from repro.surrogate.prescreen import SurrogatePrescreen
+        spec = self.spec
+        t0 = time.perf_counter()
+        prescreen = SurrogatePrescreen(spec.technique, spec.detector,
+                                       spec.threshold,
+                                       config=spec.prescreen_config)
+        verdicts = prescreen.classify(
+            spec.target, [self.fault_list[i] for i in pending])
+        escalated: List[int] = []
+        for idx, verdict in zip(pending, verdicts):
+            if verdict is None:
+                escalated.append(idx)
+            else:
+                self.dispatched += 1
+                self.record(idx, verdict)
+        self.prescreened = (t0, len(pending), len(escalated))
+        return escalated
+
+    def build_shards(self, shard_size: int) -> None:
+        """Bind the evaluation partials to the reference and chunk the
+        pending faults: ``batch_size`` per shard when the technique has
+        a batched path (``evaluate_batch``), ``shard_size`` otherwise."""
+        spec = self.spec
+        args = (spec.technique, spec.detector, spec.threshold,
+                spec.on_error, self.collect_obs, spec.fault_timeout_s,
+                spec.target, self.reference, self.trace_ctx)
+        self.evaluate = functools.partial(_evaluate_fault, *args)
+        batched = (spec.batch_size > 1
+                   and hasattr(spec.technique, "evaluate_batch"))
+        if batched:
+            self.evaluate_batch = functools.partial(_evaluate_fault_batch,
+                                                    *args)
+        width = spec.batch_size if batched else shard_size
+        pending = list(self.emit_queue)
+        for start in range(0, len(pending), width):
+            self.ready.append(_Shard("faults", pending[start:start + width],
+                                     batched=batched))
+
+    def shard_call(self, shard: _Shard) -> Callable[[], Any]:
+        """The picklable zero-argument call that evaluates ``shard``."""
+        if shard.kind == "ref":
+            return functools.partial(_call_reference, self.spec.technique,
+                                     self.spec.target)
+        faults = [self.fault_list[i] for i in shard.indices]
+        if shard.batched:
+            return functools.partial(self.evaluate_batch, faults)
+        return functools.partial(_evaluate_shard, self.evaluate, faults)
+
+    def run_inline(self) -> None:
+        """Evaluate every shard on the calling thread, the campaign
+        deadline installed so the engine's cooperative checks honour
+        it; a shard is not started once the deadline has passed."""
+        dl = self.deadline
+        with installed(dl):
+            while self.ready:
+                if dl is not None and dl.expired():
+                    self.failures.deadline_hit = True
+                    return
+                shard = self.ready.popleft()
+                try:
+                    payload = self.shard_call(shard)()
+                except DeadlineExceeded as exc:
+                    if dl is not None and exc.deadline is dl:
+                        self.failures.deadline_hit = True
+                        return
+                    raise
+                self.land(shard.indices, payload)
+
+    # -- recording -----------------------------------------------------
+    def record(self, idx: int, outcome: FaultOutcome,
+               save: bool = True) -> None:
+        self.outcomes[idx] = outcome
+        if outcome.timed_out:
+            self.failures.timeouts.append(outcome.fault.describe())
+            if OBS.enabled:
+                OBS.metrics.counter("campaign.fault_timeouts").inc()
+                event("campaign.fault_timeout", level="warning",
+                      fault=outcome.fault.describe(),
+                      budget_s=self.spec.fault_timeout_s, **self.tags)
+        if outcome.quarantined:
+            self.failures.quarantined.append(outcome.fault.describe())
+            if OBS.enabled:
+                OBS.metrics.counter("campaign.quarantined").inc()
+                event("campaign.quarantine", level="error",
+                      fault=outcome.fault.describe(), **self.tags)
+        if self.cache is not None and not outcome.from_cache:
+            key = (self.surrogate_key if outcome.decided_by == "surrogate"
+                   else self.context_key)
+            if key is not None:
+                self.cache.put(key, outcome)
+        self.tracker.update(outcome)
+        if self.ckpt is not None and save:
+            self.save_checkpoint()
+
+    def save_checkpoint(self, force: bool = False) -> None:
+        """Inside the service a failed checkpoint write (full disk,
+        failed rename) costs recomputation after a crash, never the
+        dispatcher; a standalone campaign raises it."""
+        try:
+            if force:
+                self.ckpt.save(self.outcomes, self.total)
+            else:
+                self.ckpt.maybe_save(self.outcomes, self.total)
+        except OSError:
+            if not self.best_effort_checkpoint:
+                raise
+            if OBS.enabled:
+                OBS.metrics.counter("service.checkpoint_errors").inc()
+                event("service.checkpoint_error", level="warning",
+                      path=self.ckpt.path, **self.tags)
+
+    def emit_ready(self) -> None:
+        while self.emit_queue and self.emit_queue[0] in self.buffered:
+            idx = self.emit_queue.popleft()
+            self.record(idx, self.buffered.pop(idx))
+
+    def land(self, indices: List[int],
+             outcomes: List[FaultOutcome]) -> None:
+        for idx, outcome in zip(indices, outcomes):
+            self.crash_counts.pop(idx, None)   # exonerated
+            self.buffered[idx] = outcome
+        self.emit_ready()
+
+    # -- the executor's failure verdicts -------------------------------
+    def requeue(self, shard: _Shard, split: bool = False) -> None:
+        """Put an unfinished shard back at the front of the queue, with
+        no strike; ``split`` re-queues its faults one per shard."""
+        if shard.kind == "faults":
+            self.dispatched -= len(shard.indices)
+        if not split:
+            self.ready.appendleft(shard)
+            return
+        for idx in reversed(shard.indices):
+            self.ready.appendleft(_Shard("faults", [idx]))
+
+    def strike(self, shard: _Shard) -> None:
+        """A worker died while ``shard`` was in flight: each member takes
+        a strike and is re-queued alone; a member reaching
+        ``_QUARANTINE_AFTER`` strikes is quarantined as a poison pill."""
+        if shard.kind == "ref":
+            self.ready.appendleft(shard)
+            return
+        self.dispatched -= len(shard.indices)
+        for idx in reversed(shard.indices):
+            strikes = self.crash_counts.get(idx, 0) + 1
+            if strikes >= _QUARANTINE_AFTER:
+                self.crash_counts.pop(idx, None)
+                self.buffered[idx] = _quarantine_outcome(
+                    self.fault_list[idx], strikes)
+                self.dispatched += 1
+            else:
+                self.crash_counts[idx] = strikes
+                self.ready.appendleft(_Shard("faults", [idx]))
+        self.emit_ready()
+
+    def time_out(self, idx: int, elapsed_s: float) -> None:
+        """The lone fault of a hung shard: a structured timeout."""
+        self.crash_counts.pop(idx, None)
+        self.buffered[idx] = _timeout_outcome(
+            self.fault_list[idx], self.spec.fault_timeout_s, elapsed_s,
+            killed=True)
+        self.emit_ready()
+
+    def shard_budget(self, shard: _Shard) -> Optional[float]:
+        """Wall clock before the parent hard-kills ``shard``: one
+        per-fault budget per member, plus one for a batched shard's
+        batch attempt (every member may then re-run alone), plus the
+        grace."""
+        timeout = self.spec.fault_timeout_s
+        if timeout is None or shard.kind != "faults":
+            return None
+        extra = 1 if shard.batched else 0
+        return ((len(shard.indices) + extra) * timeout
+                + self.spec.timeout_grace_s)
+
+    def complete(self) -> bool:
+        if self.failures.deadline_hit:
+            return not self.inflight
+        return not (self.ready or self.inflight or self.emit_queue)
+
+    # -- completion ----------------------------------------------------
+    def finish(self, workers: int) -> CampaignResult:
+        # outcomes that landed behind a fault the deadline cut off are
+        # still genuine verdicts: keep them, in fault order
+        for idx in sorted(self.buffered):
+            self.record(idx, self.buffered.pop(idx))
+        unevaluated = [i for i in self.emit_queue if i not in self.outcomes]
+        if unevaluated:
+            self.failures.skipped.extend(
+                self.fault_list[i].describe() for i in unevaluated)
+            if OBS.enabled:
+                OBS.metrics.counter("campaign.skipped").inc(len(unevaluated))
+                event("campaign.deadline", level="warning",
+                      skipped=len(unevaluated),
+                      budget_s=self.spec.campaign_deadline_s, **self.tags)
+        failures = self.failures
+        result = CampaignResult(target_name=self.name,
+                                reference=self.reference,
+                                threshold=self.spec.threshold,
+                                failures=failures, workers=workers)
+        result.outcomes = [self.outcomes[i] for i in sorted(self.outcomes)]
+        result.partial = bool(failures.skipped or failures.deadline_hit
+                              or failures.timeouts or failures.quarantined)
+        if self.ckpt is not None:
+            self.save_checkpoint(force=True)
+        result.elapsed_s = time.perf_counter() - self.t0
+        if self.cache is not None:
+            result.cache_stats = self.cache.stats.delta(self.cache_stats0)
+        return result
+
+
+def _merge_obs(result: CampaignResult, span: Optional[Span]) -> None:
+    """Fold the outcomes' shipped metrics and events into the ambient
+    scope, graft their span forests under ``span`` (the campaign or job
+    span) and record the campaign-level metrics — identically for every
+    route, which is what gives serial, pooled and scheduled runs the
+    same counters."""
+    m = OBS.metrics
+    busy = 0.0
+    for o in result.outcomes:
+        m.merge(o.metrics)
+        if o.events:
+            OBS.events.extend(o.events)
+        if span is not None:
+            _graft_spans(span, o)
+        m.histogram("campaign.fault_wall_s").observe(o.elapsed_s)
+        busy += o.elapsed_s
+    m.counter("campaign.runs").inc()
+    m.counter("campaign.faults_evaluated").inc(result.n_faults)
+    m.counter("campaign.errors").inc(result.n_errors)
+    if result.elapsed_s > 0.0 and result.n_faults:
+        m.gauge("campaign.worker_utilization").set(
+            busy / (result.elapsed_s * result.workers))
+    if span is None:
+        return
+    span.set(n_faults=result.n_faults, n_detected=result.n_detected,
+             n_errors=result.n_errors, coverage=result.coverage,
+             workers=result.workers)
+    if result.n_prescreened:
+        span.set(n_prescreened=result.n_prescreened)
+    if result.partial or result.failures.degraded:
+        span.set(partial=result.partial,
+                 failures=result.failures.summary())
+
+
 class FaultCampaign:
     """Run a measurement technique over a fault universe.
 
@@ -583,13 +966,15 @@ class FaultCampaign:
         never counted as detected under either policy.
     workers:
         Number of worker processes for :meth:`run`.  ``1`` (default)
-        evaluates faults serially in-process; ``N > 1`` fans the fault
-        universe out over a :class:`concurrent.futures.ProcessPoolExecutor`.
-        Faults are independent, so this is embarrassingly parallel;
-        results come back in fault order regardless of completion order.
-        Requires the technique, detector, target and faults to be
-        picklable — if they are not, the campaign warns and falls back
-        to serial evaluation.
+        evaluates faults serially in-process; ``N > 1`` hands the job to
+        the shard executor of
+        :class:`~repro.service.scheduler.CampaignScheduler`, which fans
+        it out over a process pool one fault per shard.  Faults are
+        independent, so this is embarrassingly parallel; results come
+        back in fault order regardless of completion order.  Requires
+        the technique, detector, target and faults to be picklable — if
+        they are not, the campaign warns and falls back to serial
+        evaluation.
     batch_size:
         Faults marched per batched-engine call.  ``1`` (default) uses
         the per-fault path.  ``K > 1`` chunks the universe and hands
@@ -643,20 +1028,8 @@ class FaultCampaign:
 
     def run(self, target: Any = None,
             faults: Optional[Iterable[Fault]] = None,
-            reference: Any = None,
-            workers: Any = _UNSET,
-            progress: Any = _UNSET,
-            heartbeat_every: Any = _UNSET,
-            *,
-            spec: Optional[CampaignSpec] = None,
-            batch_size: Any = _UNSET,
-            fault_timeout_s: Any = _UNSET,
-            campaign_deadline_s: Any = _UNSET,
-            checkpoint: Any = _UNSET,
-            resume: Any = _UNSET,
-            checkpoint_every: Any = _UNSET,
-            timeout_grace_s: Any = _UNSET
-            ) -> CampaignResult:
+            reference: Any = None, *,
+            spec: Optional[CampaignSpec] = None) -> CampaignResult:
         """Evaluate every fault; ``reference`` may carry a precomputed
         fault-free measurement to avoid re-simulation.
 
@@ -667,11 +1040,7 @@ class FaultCampaign:
         Spec options left ``None`` inherit the campaign's constructor
         configuration (then package defaults); the same spec object can
         be handed unchanged to
-        :meth:`repro.service.scheduler.CampaignScheduler.submit`.  The
-        loose option kwargs of the pre-service API (``workers=``,
-        ``batch_size=``, ``checkpoint=`` …) still work but are
-        deprecated: they warn once per process and cannot be mixed with
-        ``spec=``.
+        :meth:`repro.service.scheduler.CampaignScheduler.submit`.
 
         ``spec.progress`` is called after every completed fault with a
         :class:`~repro.obs.health.CampaignProgress` (done/total, ETA,
@@ -694,9 +1063,10 @@ class FaultCampaign:
             outcome (``timed_out=True``, ``error="timeout: ..."``) and
             is never counted as detected.
         campaign_deadline_s:
-            Budget for the whole run.  On expiry, evaluation stops;
-            faults never evaluated are listed in
-            ``result.failures.skipped`` and the result is ``partial``.
+            Budget for the whole run.  On expiry, evaluation stops (in
+            pooled mode the pool is killed); faults never evaluated are
+            listed in ``result.failures.skipped`` and the result is
+            ``partial``.
         checkpoint / resume / checkpoint_every:
             ``checkpoint=path`` persists completed outcomes atomically
             every ``checkpoint_every`` completions, keyed by a content
@@ -714,26 +1084,7 @@ class FaultCampaign:
             single simulation — including the fault-free reference,
             which is only computed when at least one fault misses.
         """
-        legacy = {k: v for k, v in (
-            ("workers", workers), ("progress", progress),
-            ("heartbeat_every", heartbeat_every),
-            ("batch_size", batch_size),
-            ("fault_timeout_s", fault_timeout_s),
-            ("campaign_deadline_s", campaign_deadline_s),
-            ("checkpoint", checkpoint), ("resume", resume),
-            ("checkpoint_every", checkpoint_every),
-            ("timeout_grace_s", timeout_grace_s)) if v is not _UNSET}
-        if legacy:
-            if spec is not None:
-                raise ValueError(
-                    "FaultCampaign.run() got both spec= and legacy option "
-                    f"kwargs ({', '.join(sorted(legacy))}); put the "
-                    "options on the CampaignSpec")
-            _warn_legacy_kwargs(sorted(legacy))
-            spec = CampaignSpec(**legacy)
-        elif spec is None:
-            spec = CampaignSpec()
-
+        spec = CampaignSpec() if spec is None else spec
         if target is not None:
             spec = spec.replace(target=target)
         if faults is not None:
@@ -747,161 +1098,25 @@ class FaultCampaign:
                               errors_as_detected=self.errors_as_detected,
                               workers=self.workers,
                               batch_size=self.batch_size)
-
-        target = rspec.target
-        reference = rspec.reference
-        threshold = rspec.threshold
-        on_error = rspec.on_error
-        n_batch = rspec.batch_size
-        fault_timeout_s = rspec.fault_timeout_s
-        campaign_deadline_s = rspec.campaign_deadline_s
-        timeout_grace_s = rspec.timeout_grace_s
         cache = rspec.cache if rspec.cache is not None else self.cache
-
-        t_start = time.perf_counter()
-        name = rspec.name or getattr(target, "name",
-                                     type(target).__name__)
+        name = rspec.name or getattr(rspec.target, "name",
+                                     type(rspec.target).__name__)
         with obs_span("campaign", target=name) as sp:
-            failures = FailureReport()
-            result = CampaignResult(target_name=name, reference=reference,
-                                    threshold=threshold,
-                                    failures=failures)
-            fault_list = list(rspec.faults)
-            n_workers = rspec.workers
-            n_workers = min(n_workers, len(fault_list)) if fault_list else 1
-            collect_obs = OBS.enabled
-            # captured inside the campaign span, so worker-side roots
-            # record this exact position in the trace as their parent
-            trace_ctx = TraceContext.capture()
-
-            ckpt: Optional[CampaignCheckpoint] = None
-            restored: Dict[int, FaultOutcome] = {}
-            if rspec.checkpoint is not None:
-                ckpt = CampaignCheckpoint(rspec.checkpoint,
-                                          rspec.content_key(),
-                                          every=rspec.checkpoint_every)
-                if rspec.resume:
-                    restored = {i: o for i, o in ckpt.load().items()
-                                if 0 <= i < len(fault_list)}
-
-            campaign_dl = (Deadline(campaign_deadline_s, label="campaign")
-                           if campaign_deadline_s is not None else None)
-
-            tracker = ProgressTracker(len(fault_list),
-                                      callback=rspec.progress,
-                                      heartbeat_every=rspec.heartbeat_every)
-            outcomes: Dict[int, FaultOutcome] = {}
-            cache_context = (rspec.context_key() if cache is not None
-                             else None)
-            cache_stats0 = (cache.stats.snapshot() if cache is not None
-                            else None)
-            # surrogate verdicts live under their own context key —
-            # prescreened and full runs must never replay each other's
-            # entries (the surrogate's score is not the transient's)
-            surrogate_context = (rspec.surrogate_context_key()
-                                 if cache is not None
-                                 and rspec.prescreen == "surrogate"
-                                 else None)
-
-            def record(idx: int, outcome: FaultOutcome,
-                       save: bool = True) -> None:
-                outcomes[idx] = outcome
-                if outcome.timed_out:
-                    failures.timeouts.append(outcome.fault.describe())
-                    if OBS.enabled:
-                        OBS.metrics.counter("campaign.fault_timeouts").inc()
-                        event("campaign.fault_timeout", level="warning",
-                              fault=outcome.fault.describe(),
-                              budget_s=fault_timeout_s)
-                if outcome.quarantined:
-                    failures.quarantined.append(outcome.fault.describe())
-                    if OBS.enabled:
-                        OBS.metrics.counter("campaign.quarantined").inc()
-                        event("campaign.quarantine", level="error",
-                              fault=outcome.fault.describe())
-                if cache is not None and not outcome.from_cache:
-                    if outcome.decided_by == "surrogate":
-                        if surrogate_context is not None:
-                            cache.put(surrogate_context, outcome)
-                    else:
-                        cache.put(cache_context, outcome)
-                tracker.update(outcome)
-                if ckpt is not None and save:
-                    ckpt.maybe_save(outcomes, len(fault_list))
-
-            # replay checkpointed outcomes (in fault order) so progress
-            # and failure accounting match the uninterrupted run
-            for idx in sorted(restored):
-                record(idx, restored[idx], save=False)
-
-            # then replay cache hits, still in fault order; only what
-            # is left after both replays is ever dispatched
-            if cache is not None:
-                for idx in range(len(fault_list)):
-                    if idx in outcomes:
-                        continue
-                    # a prescreened run probes the surrogate context
-                    # first (silently — the authoritative miss counter
-                    # is the transient context's), then the shared
-                    # transient context, so a warm prescreened re-run
-                    # replays both verdict kinds without a simulation
-                    hit = None
-                    if surrogate_context is not None:
-                        hit = cache.get(surrogate_context,
-                                        fault_list[idx], threshold,
-                                        count_miss=False)
-                    if hit is None:
-                        hit = cache.get(cache_context, fault_list[idx],
-                                        threshold)
-                    if hit is not None:
-                        record(idx, hit)
-
-            pending = [i for i in range(len(fault_list))
-                       if i not in outcomes]
-
-            if pending and rspec.prescreen == "surrogate":
-                # the prescreen runs in the parent, before the MNA
-                # reference is even computed: a fully surrogate-decided
-                # campaign performs zero transient simulations
-                from repro.surrogate.prescreen import SurrogatePrescreen
-                prescreen = SurrogatePrescreen(
-                    self.technique, self.detector, threshold,
-                    config=rspec.prescreen_config)
-                verdicts = prescreen.classify(
-                    target, [fault_list[i] for i in pending])
-                escalated = []
-                for idx, verdict in zip(pending, verdicts):
-                    if verdict is None:
-                        escalated.append(idx)
-                    else:
-                        record(idx, verdict)
-                pending = escalated
-
-            if pending:
-                if reference is None:
+            # the trace context is captured inside the campaign span, so
+            # worker-side roots record this exact position as their parent
+            job = _JobRun(rspec, cache, trace_ctx=TraceContext.capture(),
+                          collect_obs=OBS.enabled)
+            job.stage()
+            n_workers = min(rspec.workers, job.total) if job.total else 1
+            if job.emit_queue:
+                if job.reference is None:
                     # lazy on purpose: a fully restored/cached campaign
                     # re-runs without a single simulation, reference
                     # included
-                    reference = self.technique(target)
-                    result.reference = reference
-
-                evaluate = functools.partial(
-                    _evaluate_fault, self.technique, self.detector,
-                    threshold, on_error, collect_obs,
-                    fault_timeout_s, target, reference, trace_ctx)
-                # Batched dispatch needs the technique to implement the
-                # batch protocol; otherwise the knob degrades to
-                # per-fault.
-                use_batch = (n_batch > 1
-                             and hasattr(self.technique, "evaluate_batch"))
-                evaluate_batch = (functools.partial(
-                    _evaluate_fault_batch, self.technique, self.detector,
-                    threshold, on_error, collect_obs,
-                    fault_timeout_s, target, reference, trace_ctx)
-                    if use_batch else None)
-
-                if n_workers > 1 and not self._picklable(evaluate,
-                                                         fault_list):
+                    job.reference = self.technique(rspec.target)
+                job.build_shards(1)
+                if n_workers > 1 and not _picklable(job.evaluate,
+                                                    job.fault_list):
                     warnings.warn(
                         "fault campaign: technique/detector/target/faults "
                         "are not picklable; falling back to serial "
@@ -911,51 +1126,15 @@ class FaultCampaign:
                         OBS.metrics.counter(
                             "campaign.pickle_fallbacks").inc()
                     n_workers = 1
-
-                if n_workers > 1 and use_batch:
-                    self._run_pooled_batched(evaluate_batch, evaluate,
-                                             fault_list, pending, n_workers,
-                                             n_batch, record, failures,
-                                             campaign_dl, fault_timeout_s,
-                                             timeout_grace_s)
-                elif n_workers > 1:
-                    self._run_pooled(evaluate, fault_list, pending,
-                                     n_workers, record, failures,
-                                     campaign_dl, fault_timeout_s,
-                                     timeout_grace_s)
-                elif use_batch:
-                    self._run_serial_batched(evaluate_batch, fault_list,
-                                             pending, n_batch, record,
-                                             failures, campaign_dl)
+                if n_workers > 1:
+                    from repro.service.scheduler import CampaignScheduler
+                    CampaignScheduler(workers=n_workers, shard_size=1,
+                                      name="campaign")._drive(job)
                 else:
-                    self._run_serial(evaluate, fault_list, pending, record,
-                                     failures, campaign_dl)
-
-            # anything with no outcome was cut off by the campaign
-            # deadline: account for it in index order
-            unevaluated = [i for i in pending if i not in outcomes]
-            if unevaluated:
-                failures.skipped.extend(
-                    fault_list[i].describe() for i in unevaluated)
-                if OBS.enabled:
-                    OBS.metrics.counter("campaign.skipped").inc(
-                        len(unevaluated))
-                    event("campaign.deadline", level="warning",
-                          skipped=len(unevaluated),
-                          budget_s=campaign_deadline_s)
-
-            result.outcomes = [outcomes[i] for i in sorted(outcomes)]
-            result.partial = bool(failures.skipped or failures.deadline_hit
-                                  or failures.timeouts
-                                  or failures.quarantined)
-            if ckpt is not None:
-                ckpt.save(outcomes, len(fault_list))
-
-            result.workers = n_workers
-            result.elapsed_s = time.perf_counter() - t_start
-            if cache is not None:
-                result.cache_stats = cache.stats.delta(cache_stats0)
-            self._record_obs(result, sp)
+                    job.run_inline()
+            result = job.finish(n_workers)
+            if OBS.enabled:
+                _merge_obs(result, sp)
         if OBS.enabled:
             result.trace = sp
         ledger = OBS.ledger
@@ -970,432 +1149,11 @@ class FaultCampaign:
                 pass
         return result
 
-    # ------------------------------------------------------------------
-    def _run_serial(self, evaluate, fault_list, pending, record,
-                    failures: FailureReport,
-                    campaign_dl: Optional[Deadline]) -> None:
-        """In-process evaluation with cooperative deadlines."""
-        with installed(campaign_dl):
-            for idx in pending:
-                if campaign_dl is not None and campaign_dl.expired():
-                    failures.deadline_hit = True
-                    return
-                try:
-                    outcome = evaluate(fault_list[idx])
-                except DeadlineExceeded as exc:
-                    if (campaign_dl is not None
-                            and exc.deadline is campaign_dl):
-                        failures.deadline_hit = True
-                        return
-                    raise
-                record(idx, outcome)
 
-    # ------------------------------------------------------------------
-    def _run_serial_batched(self, evaluate_batch, fault_list, pending,
-                            n_batch, record, failures: FailureReport,
-                            campaign_dl: Optional[Deadline]) -> None:
-        """Chunked in-process evaluation: same deadline contract as
-        :meth:`_run_serial`, with ``n_batch`` faults handed to the
-        batched engine per call and outcomes recorded in fault order."""
-        with installed(campaign_dl):
-            for start in range(0, len(pending), n_batch):
-                chunk = pending[start:start + n_batch]
-                if campaign_dl is not None and campaign_dl.expired():
-                    failures.deadline_hit = True
-                    return
-                try:
-                    outcomes = evaluate_batch(
-                        [fault_list[i] for i in chunk])
-                except DeadlineExceeded as exc:
-                    if (campaign_dl is not None
-                            and exc.deadline is campaign_dl):
-                        failures.deadline_hit = True
-                        return
-                    raise
-                for idx, outcome in zip(chunk, outcomes):
-                    record(idx, outcome)
-
-    # ------------------------------------------------------------------
-    def _run_pooled_batched(self, evaluate_batch, evaluate, fault_list,
-                            pending, n_workers, n_batch, record,
-                            failures: FailureReport,
-                            campaign_dl: Optional[Deadline],
-                            fault_timeout_s: Optional[float],
-                            timeout_grace_s: float) -> None:
-        """Chunk-per-future scheduler: each pool worker marches one
-        batch.  Chunks are emitted strictly in fault order (buffered
-        until the next expected chunk lands), so progress callbacks,
-        heartbeats and checkpoints see the serial sequence.
-
-        A chunk worst-cases at ``(len(chunk) + 1)`` per-fault budgets —
-        one batch attempt plus a serial re-run per member — so that is
-        the parent's hard-kill horizon.  A chunk whose worker crashes
-        or goes silent past it is *rescued*: its faults are re-run
-        through the per-fault pooled scheduler (full crash/quarantine/
-        hang protocol), so every fault still ends with a
-        serial-identical outcome.
-        """
-        BrokenExecutor = concurrent.futures.BrokenExecutor
-        chunks = [pending[i:i + n_batch]
-                  for i in range(0, len(pending), n_batch)]
-        buffered: Dict[int, Dict[int, FaultOutcome]] = {}
-        emitted = 0
-        in_flight: Dict[concurrent.futures.Future, int] = {}
-        started: Dict[concurrent.futures.Future, float] = {}
-        next_submit = 0
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=n_workers)
-
-        def chunk_budget(ci: int) -> Optional[float]:
-            if fault_timeout_s is None:
-                return None
-            return ((len(chunks[ci]) + 1) * fault_timeout_s
-                    + timeout_grace_s)
-
-        def kill_pool() -> None:
-            for proc in list(getattr(pool, "_processes", {}).values()):
-                try:
-                    proc.kill()
-                except Exception:  # noqa: BLE001 - already dead is fine
-                    pass
-            pool.shutdown(wait=False, cancel_futures=True)
-
-        def emit_ready() -> None:
-            nonlocal emitted
-            while emitted < len(chunks) and emitted in buffered:
-                outs = buffered.pop(emitted)
-                for idx in chunks[emitted]:
-                    if idx in outs:
-                        record(idx, outs[idx])
-                emitted += 1
-
-        def rescue(chunk_indices: List[int]) -> None:
-            """Re-run a failed chunk through the per-fault pooled
-            scheduler (its own pool, timeouts, quarantine)."""
-            outs: Dict[int, FaultOutcome] = {}
-
-            def collect(idx: int, outcome: FaultOutcome,
-                        save: bool = True) -> None:
-                outs[idx] = outcome
-
-            self._run_pooled(evaluate, fault_list, list(chunk_indices),
-                             min(n_workers, len(chunk_indices)), collect,
-                             failures, campaign_dl, fault_timeout_s,
-                             timeout_grace_s)
-            for ci, chunk in enumerate(chunks):
-                if any(i in outs for i in chunk):
-                    buffered.setdefault(ci, {}).update(
-                        {i: outs[i] for i in chunk if i in outs})
-
-        def handle_crash(crashed: List[int]) -> None:
-            nonlocal pool
-            failures.worker_crashes += 1
-            failures.pools_killed += 1
-            kill_pool()
-            to_rescue = sorted(set(crashed) | set(in_flight.values()))
-            in_flight.clear()
-            started.clear()
-            pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=n_workers)
-            if OBS.enabled:
-                OBS.metrics.counter("campaign.worker_crashes").inc()
-                OBS.metrics.counter("campaign.pools_killed").inc()
-                event("campaign.worker_crash", level="error",
-                      batched=True, chunks=len(to_rescue))
-            for ci in to_rescue:
-                rescue(chunks[ci])
-
-        try:
-            while next_submit < len(chunks) or in_flight:
-                if campaign_dl is not None and campaign_dl.expired():
-                    failures.deadline_hit = True
-                    kill_pool()
-                    break
-
-                while next_submit < len(chunks) and len(in_flight) < n_workers:
-                    ci = next_submit
-                    try:
-                        fut = pool.submit(
-                            evaluate_batch,
-                            [fault_list[i] for i in chunks[ci]])
-                    except BrokenExecutor:
-                        handle_crash([ci])
-                        next_submit = ci + 1
-                        break
-                    in_flight[fut] = ci
-                    started[fut] = time.monotonic()
-                    next_submit = ci + 1
-                if not in_flight:
-                    emit_ready()
-                    continue
-
-                waits = []
-                now = time.monotonic()
-                for fut, ci in in_flight.items():
-                    b = chunk_budget(ci)
-                    if b is not None:
-                        waits.append(started[fut] + b - now)
-                if campaign_dl is not None:
-                    waits.append(campaign_dl.remaining())
-                wait_s = max(0.0, min(waits)) + 0.02 if waits else None
-                done_futs, _ = concurrent.futures.wait(
-                    list(in_flight), timeout=wait_s,
-                    return_when=concurrent.futures.FIRST_COMPLETED)
-
-                crashed: List[int] = []
-                for fut in done_futs:
-                    ci = in_flight.pop(fut)
-                    started.pop(fut, None)
-                    try:
-                        outcomes = fut.result()
-                    except BrokenExecutor:
-                        crashed.append(ci)
-                        continue
-                    except Exception:
-                        # genuine error under on_error="raise": propagate
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        raise
-                    buffered[ci] = dict(zip(chunks[ci], outcomes))
-                if crashed:
-                    handle_crash(crashed)
-                    emit_ready()
-                    continue
-
-                if fault_timeout_s is not None and in_flight:
-                    now = time.monotonic()
-                    hung = [ci for fut, ci in in_flight.items()
-                            if now - started[fut] > chunk_budget(ci)]
-                    if hung:
-                        # the whole pool goes (a kill is pool-wide);
-                        # hung and innocent chunks alike are rescued
-                        # through the per-fault protocol
-                        failures.pools_killed += 1
-                        to_rescue = sorted(set(in_flight.values()))
-                        kill_pool()
-                        in_flight.clear()
-                        started.clear()
-                        pool = concurrent.futures.ProcessPoolExecutor(
-                            max_workers=n_workers)
-                        if OBS.enabled:
-                            OBS.metrics.counter(
-                                "campaign.pools_killed").inc()
-                        for ci in to_rescue:
-                            rescue(chunks[ci])
-
-                emit_ready()
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-        for ci in sorted(buffered):
-            outs = buffered[ci]
-            for idx in chunks[ci]:
-                if idx in outs:
-                    record(idx, outs[idx])
-        buffered.clear()
-
-    # ------------------------------------------------------------------
-    def _run_pooled(self, evaluate, fault_list, pending, n_workers, record,
-                    failures: FailureReport,
-                    campaign_dl: Optional[Deadline],
-                    fault_timeout_s: Optional[float],
-                    timeout_grace_s: float) -> None:
-        """Submit-window scheduler over a worker pool.
-
-        Unlike ``pool.map``, every fault is its own future, which is
-        what enables per-fault wall-clock enforcement and exact blame
-        when a worker dies.  Completion is *emitted* strictly in fault
-        order (buffered until the next expected index arrives), so
-        progress callbacks, heartbeats and checkpoints see the same
-        sequence as a serial run.
-
-        Crash protocol: a dead pool fails every in-flight future, so the
-        first crash can only blame the whole in-flight set (one strike
-        each).  The scheduler then drops to a one-at-a-time window and
-        re-runs the suspects; only the true poison pill crashes alone,
-        collects its second strike and is quarantined — innocents
-        complete and are exonerated.
-        """
-        BrokenExecutor = concurrent.futures.BrokenExecutor
-        queue: List[int] = list(pending)
-        emit_order: List[int] = list(pending)
-        buffered: Dict[int, FaultOutcome] = {}
-        ptr = 0
-        suspects: Set[int] = set()
-        crash_counts: Dict[int, int] = {}
-        in_flight: Dict[concurrent.futures.Future, int] = {}
-        started: Dict[concurrent.futures.Future, float] = {}
-        budget = (None if fault_timeout_s is None
-                  else fault_timeout_s + timeout_grace_s)
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=n_workers)
-
-        def kill_pool() -> None:
-            for proc in list(getattr(pool, "_processes", {}).values()):
-                try:
-                    proc.kill()
-                except Exception:  # noqa: BLE001 - already dead is fine
-                    pass
-            pool.shutdown(wait=False, cancel_futures=True)
-
-        def emit_ready() -> None:
-            nonlocal ptr
-            while ptr < len(emit_order) and emit_order[ptr] in buffered:
-                idx = emit_order[ptr]
-                record(idx, buffered.pop(idx))
-                ptr += 1
-
-        def handle_crash(crash_idxs: Set[int]) -> None:
-            nonlocal pool
-            failures.worker_crashes += 1
-            failures.pools_killed += 1
-            kill_pool()
-            requeue: List[int] = []
-            for i in sorted(crash_idxs):
-                crash_counts[i] = crash_counts.get(i, 0) + 1
-                if crash_counts[i] >= _QUARANTINE_AFTER:
-                    buffered[i] = _quarantine_outcome(fault_list[i],
-                                                      crash_counts[i])
-                    suspects.discard(i)
-                else:
-                    suspects.add(i)
-                    requeue.append(i)
-            in_flight.clear()
-            started.clear()
-            queue[:0] = requeue
-            pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=n_workers)
-            if OBS.enabled:
-                OBS.metrics.counter("campaign.worker_crashes").inc()
-                OBS.metrics.counter("campaign.pools_killed").inc()
-                event("campaign.worker_crash", level="error",
-                      in_flight=len(crash_idxs),
-                      suspects=sorted(fault_list[i].describe()
-                                      for i in suspects))
-
-        try:
-            while queue or in_flight:
-                if campaign_dl is not None and campaign_dl.expired():
-                    failures.deadline_hit = True
-                    kill_pool()
-                    break
-
-                # fill the window (one at a time while blame is being
-                # attributed after a crash)
-                cap = 1 if suspects else n_workers
-                while queue and len(in_flight) < cap:
-                    idx = queue.pop(0)
-                    try:
-                        fut = pool.submit(evaluate, fault_list[idx])
-                    except BrokenExecutor:
-                        handle_crash({idx} | set(in_flight.values()))
-                        break
-                    in_flight[fut] = idx
-                    started[fut] = time.monotonic()
-                if not in_flight:
-                    continue
-
-                waits = []
-                if budget is not None:
-                    waits.append(min(started.values()) + budget
-                                 - time.monotonic())
-                if campaign_dl is not None:
-                    waits.append(campaign_dl.remaining())
-                wait_s = max(0.0, min(waits)) + 0.02 if waits else None
-                done_futs, _ = concurrent.futures.wait(
-                    list(in_flight), timeout=wait_s,
-                    return_when=concurrent.futures.FIRST_COMPLETED)
-
-                crashed_idxs: Set[int] = set()
-                for fut in done_futs:
-                    idx = in_flight.pop(fut)
-                    started.pop(fut, None)
-                    try:
-                        outcome = fut.result()
-                    except BrokenExecutor:
-                        crashed_idxs.add(idx)
-                        continue
-                    except Exception:
-                        # genuine technique error under on_error="raise":
-                        # propagate, as the serial path would
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        raise
-                    suspects.discard(idx)
-                    buffered[idx] = outcome
-                if crashed_idxs:
-                    handle_crash(crashed_idxs | set(in_flight.values()))
-                    emit_ready()
-                    continue
-
-                if budget is not None and in_flight:
-                    now = time.monotonic()
-                    hung = {fut: idx for fut, idx in in_flight.items()
-                            if now - started[fut] > budget}
-                    if hung:
-                        # a worker missed every cooperative check — kill
-                        # the pool, time out the overdue faults, re-run
-                        # the innocent in-flight ones
-                        failures.pools_killed += 1
-                        kill_pool()
-                        requeue = []
-                        for fut, idx in list(in_flight.items()):
-                            t0 = started.pop(fut)
-                            if fut in hung:
-                                buffered[idx] = _timeout_outcome(
-                                    fault_list[idx], fault_timeout_s,
-                                    now - t0, killed=True)
-                                suspects.discard(idx)
-                            else:
-                                requeue.append(idx)
-                        in_flight.clear()
-                        queue[:0] = sorted(requeue)
-                        pool = concurrent.futures.ProcessPoolExecutor(
-                            max_workers=n_workers)
-                        if OBS.enabled:
-                            OBS.metrics.counter(
-                                "campaign.pools_killed").inc()
-
-                emit_ready()
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-        # flush anything completed but unemitted (e.g. results that
-        # arrived out of order before a deadline abort)
-        for idx in sorted(buffered):
-            record(idx, buffered[idx])
-        buffered.clear()
-
-    # ------------------------------------------------------------------
-    def _record_obs(self, result: CampaignResult, sp) -> None:
-        """Merge per-fault snapshots and record campaign-level metrics."""
-        if not OBS.enabled:
-            return
-        m = OBS.metrics
-        busy = 0.0
-        for o in result.outcomes:
-            m.merge(o.metrics)
-            if o.events:
-                OBS.events.extend(o.events)
-            _graft_spans(sp, o)
-            m.histogram("campaign.fault_wall_s").observe(o.elapsed_s)
-            busy += o.elapsed_s
-        m.counter("campaign.runs").inc()
-        m.counter("campaign.faults_evaluated").inc(result.n_faults)
-        m.counter("campaign.errors").inc(result.n_errors)
-        if result.elapsed_s > 0.0 and result.n_faults:
-            m.gauge("campaign.worker_utilization").set(
-                busy / (result.elapsed_s * result.workers))
-        sp.set(n_faults=result.n_faults, n_detected=result.n_detected,
-               n_errors=result.n_errors, coverage=result.coverage,
-               workers=result.workers)
-        if result.n_prescreened:
-            sp.set(n_prescreened=result.n_prescreened)
-        if result.partial or result.failures.degraded:
-            sp.set(partial=result.partial,
-                   failures=result.failures.summary())
-
-    @staticmethod
-    def _picklable(evaluate, fault_list) -> bool:
-        try:
-            pickle.dumps(evaluate)
-            pickle.dumps(fault_list)
-        except Exception:  # noqa: BLE001 - any pickle failure means serial
-            return False
-        return True
+def _picklable(evaluate, fault_list) -> bool:
+    try:
+        pickle.dumps(evaluate)
+        pickle.dumps(fault_list)
+    except Exception:  # noqa: BLE001 - any pickle failure means in-process
+        return False
+    return True

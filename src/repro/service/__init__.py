@@ -11,7 +11,7 @@ FaultCampaign` runs into submitted **jobs**:
   atomic-write disk) content-addressed store of per-fault outcomes, so
   no fault is ever simulated twice — across campaigns, runs and
   processes;
-* :class:`~repro.service.scheduler.CampaignScheduler` — an asyncio
+* :class:`~repro.service.scheduler.CampaignScheduler` — a background
   dispatcher sharding submitted fault universes across a shared worker
   pool with priority and fair share, composing with deadlines, retry,
   checkpointing, poison-pill quarantine and the cache;

@@ -1,4 +1,4 @@
-"""Campaign-as-a-service: the asyncio job scheduler.
+"""Campaign-as-a-service: the job scheduler and its shard executor.
 
 One process, many concurrent campaigns: :class:`CampaignScheduler`
 accepts :class:`~repro.service.spec.CampaignSpec` jobs, shards each
@@ -6,14 +6,18 @@ job's fault universe, and dispatches shards onto a shared worker pool
 with **priority** (higher first) and **fair share** (among equal
 priorities, the job with the smallest dispatched fraction of its
 universe goes next — a small campaign is never starved behind a huge
-one).  The dispatcher is a single asyncio task on a dedicated
-background thread, so ``submit()`` returns immediately and the calling
-thread blocks only where it chooses to (``job.result()`` /
-``gather()``).
+one).  The dispatcher loop runs on a dedicated background thread, so
+``submit()`` returns immediately and the calling thread blocks only
+where it chooses to (``job.result()`` / ``gather()``).
 
-Everything an offline campaign guarantees carries over, because the
-scheduler reuses the very same per-fault evaluation functions
-(:func:`repro.faults.campaign._evaluate_fault` and friends):
+The shard executor — pool lifecycle, dispatch, crash blame, hang and
+deadline kills — is the only code in the package that drives a process
+pool: ``FaultCampaign(workers=N).run`` hands its one job to the same
+loop (:meth:`CampaignScheduler._drive`, on the caller's thread).  Jobs
+are staged and recorded by the campaign's own per-job object
+(:class:`repro.faults.campaign._JobRun`) and evaluated by the very same
+per-fault functions, so everything an offline campaign guarantees
+carries over:
 
 * outcomes are recorded **in fault order** per job, so progress
   callbacks, heartbeats and checkpoints see the serial sequence;
@@ -21,8 +25,11 @@ scheduler reuses the very same per-fault evaluation functions
   that blows past its budget is hard-killed with the pool, its faults
   re-dispatched individually and the unresponsive one recorded as a
   structured timeout;
-* a fault that kills its worker twice is quarantined as a poison pill
-  (innocent shard-mates are re-dispatched and exonerated);
+* a worker crash strikes every fault in flight; suspects then run one
+  shard at a time, so a fault that kills its worker twice is
+  quarantined as a poison pill while innocents are exonerated;
+* a job's campaign deadline kills the pool (other jobs' in-flight
+  shards are re-queued without a strike) instead of waiting out a hang;
 * ``spec.checkpoint``/``resume`` and a shared
   :class:`~repro.service.cache.ResultCache` short-circuit any fault
   ever computed — across jobs, runs and processes.
@@ -34,38 +41,31 @@ run of the same spec.
 
 from __future__ import annotations
 
-import asyncio
 import concurrent.futures
 import enum
 import functools
 import itertools
 import os
-import pickle
 import re
 import threading
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import CampaignError
 from repro.faults.campaign import (
     CampaignResult,
-    FaultOutcome,
-    _QUARANTINE_AFTER,
+    _JobRun,
+    _Shard,
     _evaluate_fault,
-    _evaluate_fault_batch,
-    _graft_spans,
-    _quarantine_outcome,
-    _timeout_outcome,
+    _merge_obs,
+    _picklable,
 )
 from repro.obs.core import OBS, event
 from repro.obs.core import span as obs_span
-from repro.obs.health import ProgressTracker, ServiceProgress
+from repro.obs.health import ServiceProgress
 from repro.obs.trace import Span, TraceContext
-from repro.resilience.checkpoint import CampaignCheckpoint
-from repro.resilience.failure import FailureReport
 from repro.service.cache import ResultCache
 from repro.service.queue import JobRecord, PersistentJobQueue
 from repro.service.spec import CampaignSpec
@@ -135,7 +135,7 @@ class CampaignJob:
         if pending is None:
             return
         result, job_span = pending
-        CampaignScheduler._merge_obs(result)
+        _merge_obs(result, job_span)
         if job_span is not None:
             OBS.tracer.spans.append(job_span)
 
@@ -152,85 +152,8 @@ class CampaignJob:
                 f"priority={self.priority})")
 
 
-@dataclass
-class _Shard:
-    """One dispatchable unit: a reference computation or a fault chunk."""
-
-    kind: str                    # "ref" | "faults"
-    indices: List[int] = field(default_factory=list)
-    #: open dispatch span while the shard is in flight (None when the
-    #: job is untraced); detached from any tracer until grafted.
-    span: Any = field(default=None, compare=False)
-
-
-class _JobRun:
-    """Dispatcher-side state for one admitted job."""
-
-    def __init__(self, job: CampaignJob, seq: int) -> None:
-        self.job = job
-        self.seq = seq
-        self.spec = job.spec
-        self.fault_list: List[Any] = list(job.spec.faults)
-        self.total = len(self.fault_list)
-        self.failures = FailureReport()
-        self.outcomes: Dict[int, FaultOutcome] = {}
-        self.buffered: Dict[int, FaultOutcome] = {}
-        self.emit_queue: Deque[int] = deque()
-        self.ready: Deque[_Shard] = deque()
-        self.inflight = 0
-        self.dispatched = 0
-        self.crash_counts: Dict[int, int] = {}
-        self.reference: Any = job.spec.reference
-        self.have_reference = job.spec.reference is not None
-        self.evaluate = None
-        self.evaluate_batch = None
-        self.pooled = True
-        self.collect_obs = False
-        #: detached "service.job" span covering admission -> finalize;
-        #: outcome span forests are grafted under it as they land, and
-        #: it joins the ambient tracer's forest at finalize.  Touched
-        #: only on the dispatcher thread until then.
-        self.job_span: Optional[Span] = None
-        self.trace_ctx: Optional[TraceContext] = None
-        self.ckpt: Optional[CampaignCheckpoint] = None
-        self.cache: Optional[ResultCache] = None
-        self.context_key: Optional[str] = None
-        self.surrogate_key: Optional[str] = None
-        self.cache_stats0: Any = None
-        self.tracker: Optional[ProgressTracker] = None
-        self.last_progress: Any = None
-        self.deadline_end: Optional[float] = None
-        self.deadline_hit = False
-        self.t0 = time.perf_counter()
-
-    @property
-    def share(self) -> float:
-        """Fraction of the universe already dispatched (fair-share
-        ordering key; cached/restored faults count as dispatched)."""
-        return self.dispatched / self.total if self.total else 1.0
-
-    def shard_budget(self, shard: _Shard,
-                    grace: float) -> Optional[float]:
-        timeout = self.spec.fault_timeout_s
-        if timeout is None or shard.kind != "faults":
-            return None
-        return (len(shard.indices) + 1) * timeout + grace
-
-
-def _evaluate_shard(evaluate, faults: List[Any]) -> List[FaultOutcome]:
-    """Worker-side driver for a per-fault shard: the same
-    :func:`_evaluate_fault` partial a standalone campaign uses, applied
-    in order — which is what makes scheduled results fault-for-fault
-    identical to serial runs.  Module-level so the pool can pickle it."""
-    return [evaluate(f) for f in faults]
-
-
-def _call_reference(technique, target) -> Any:
-    return technique(target)
-
-
 class CampaignScheduler:
-    """Async front end turning :class:`FaultCampaign` into a service.
+    """Front end turning :class:`FaultCampaign` into a service.
 
     Parameters
     ----------
@@ -246,6 +169,10 @@ class CampaignScheduler:
     shard_size:
         Faults per dispatched shard for techniques without a batched
         path (batched techniques shard at ``spec.batch_size``).
+    timeout_grace_s:
+        Seconds past a shard's per-fault budgets before its worker is
+        hard-killed, for jobs whose spec leaves ``timeout_grace_s``
+        unset.
     name:
         Label used in health gauges and reports.
     queue:
@@ -289,13 +216,14 @@ class CampaignScheduler:
         self._seq = itertools.count(1)
         self._intake: Deque[CampaignJob] = deque()
         self._intake_lock = threading.Lock()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._loop_ready = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self._wake: Optional[asyncio.Event] = None
+        #: set (under the intake lock) to wake the dispatcher's wait
+        self._wake: concurrent.futures.Future = concurrent.futures.Future()
         self._closing = False
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
         self._threads: Optional[concurrent.futures.ThreadPoolExecutor] = None
+        self._inflight: Dict[concurrent.futures.Future,
+                             Tuple[_JobRun, _Shard, float]] = {}
         self._active: List[_JobRun] = []
         self._jobs: List[CampaignJob] = []
 
@@ -315,7 +243,7 @@ class CampaignScheduler:
         if not isinstance(spec, CampaignSpec):
             raise TypeError("submit() takes a CampaignSpec")
         spec.require_workload()
-        resolved = spec.resolved()
+        resolved = spec.resolved(timeout_grace_s=self.timeout_grace_s)
         job = CampaignJob(f"{self.name}-job{next(self._ids)}", resolved,
                           spec.priority if priority is None else priority)
         if self.queue is not None:
@@ -334,7 +262,7 @@ class CampaignScheduler:
         self._ensure_thread()
         with self._intake_lock:
             self._intake.append(job)
-        self._loop.call_soon_threadsafe(self._wake.set)
+        self._wake_up()
         return job
 
     def recover(self) -> List[CampaignJob]:
@@ -439,8 +367,7 @@ class CampaignScheduler:
                     except Exception:  # noqa: BLE001 - job errors are
                         pass           # surfaced via job.result(), not close
         self._closing = True
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self._wake.set)
+        self._wake_up()
         if self._thread is not None:
             self._thread.join(timeout=30.0)
         for job in self._jobs:
@@ -454,21 +381,64 @@ class CampaignScheduler:
     def __exit__(self, *exc: Any) -> None:
         self.close(wait=exc == (None, None, None))
 
-    # -- loop-thread plumbing ------------------------------------------
+    # -- dispatcher thread ---------------------------------------------
     def _ensure_thread(self) -> None:
         if self._thread is not None and self._thread.is_alive():
             return
-        self._loop_ready.clear()
-        self._thread = threading.Thread(target=self._thread_main,
+        self._thread = threading.Thread(target=self._serve,
                                         name=f"{self.name}-dispatch",
                                         daemon=True)
         self._thread.start()
-        self._loop_ready.wait()
 
-    def _thread_main(self) -> None:
-        asyncio.run(self._dispatch())
+    def _wake_up(self) -> None:
+        with self._intake_lock:
+            if not self._wake.done():
+                self._wake.set_result(None)
 
-    def _executor(self, jr: _JobRun):
+    def _serve(self) -> None:
+        """The dispatcher thread: admit, dispatch, wait, settle — until
+        :meth:`close`."""
+        try:
+            while not self._closing:
+                self._drain_intake()
+                self._sweep_deadlines()
+                self._fill_slots()
+                self._report_health()
+                self._finalize_complete()
+                self._wait(self._wake)
+                self._handle_hangs()
+                self._finalize_complete()
+        finally:
+            self._shutdown()
+
+    def _drive(self, jr: _JobRun) -> None:
+        """Run one staged job to completion on the calling thread, under
+        the service's dispatch, crash, hang and deadline protocol (the
+        pooled route of :meth:`FaultCampaign.run`); re-raises the
+        job's error."""
+        jr.job = CampaignJob(self.name, jr.spec, 0)
+        jr.job.state = JobState.RUNNING
+        self._active.append(jr)
+        try:
+            while jr.job.state is JobState.RUNNING and not jr.complete():
+                self._sweep_deadlines()
+                self._fill_slots()
+                self._wait()
+                self._handle_hangs()
+        finally:
+            self._shutdown()
+        if jr.job.state is JobState.FAILED:
+            jr.job.result()
+
+    def _shutdown(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
+        if self._threads is not None:
+            self._threads.shutdown(wait=False, cancel_futures=True)
+            self._threads = None
+
+    def _executor(self, jr: _JobRun) -> concurrent.futures.Executor:
         if jr.pooled:
             if self._pool is None:
                 self._pool = concurrent.futures.ProcessPoolExecutor(
@@ -507,270 +477,69 @@ class CampaignScheduler:
     def _admit(self, job: CampaignJob) -> None:
         seq = (next(self._seq) if job.recovered_seq is None
                else job.recovered_seq)
-        jr = _JobRun(job, seq)
         try:
-            self._prepare(jr)
+            jr = self._prepare(job)
         except Exception as exc:  # noqa: BLE001 - bad spec fails its job
             job.state = JobState.FAILED
             self._mark_queue(job, "failed", error=exc)
             if not job.done():
                 job._future.set_exception(exc)
             return
+        jr.seq = seq
         job.state = JobState.RUNNING
-        self._mark_queue(job, "dispatched", seq=jr.seq)
+        self._mark_queue(job, "dispatched", seq=seq)
         self._active.append(jr)
-        if not jr.emit_queue and not jr.ready and not jr.inflight:
+        if jr.complete():
             self._finalize(jr)
 
-    def _prepare(self, jr: _JobRun) -> None:
-        spec = jr.spec
+    def _prepare(self, job: CampaignJob) -> _JobRun:
+        spec = job.spec
         # collect when the dispatcher's ambient scope is enabled OR the
         # submitter's was (the submit-time context proves it); the
         # shipped snapshots are merged/grafted at finalize only if a
         # scope is still enabled there
-        jr.collect_obs = OBS.enabled or jr.job.trace_ctx is not None
-        if jr.collect_obs:
-            jr.job_span = Span("service.job",
-                               attrs={"job": jr.job.id,
-                                      "spec": spec.describe()})
-            jr.job_span.pid = os.getpid()
-            if jr.job.trace_ctx is not None:
-                jr.job_span.attrs.update(jr.job.trace_ctx.attrs())
-                jr.trace_ctx = TraceContext(
-                    trace_id=jr.job.trace_ctx.trace_id,
-                    parent="service.job")
-        jr.cache = spec.cache if spec.cache is not None else self.cache
-        if jr.cache is not None:
-            jr.context_key = spec.context_key()
-            jr.cache_stats0 = jr.cache.stats.snapshot()
-            if spec.prescreen == "surrogate":
-                # surrogate verdicts live under their own context key —
-                # never replayed into unprescreened runs (see
-                # FaultCampaign.run, which this mirrors exactly)
-                jr.surrogate_key = spec.surrogate_context_key()
-        jr.tracker = ProgressTracker(jr.total, callback=self._progress_cb(jr),
-                                     heartbeat_every=spec.heartbeat_every,
-                                     label=jr.job.id)
-        if spec.campaign_deadline_s is not None:
-            jr.deadline_end = time.monotonic() + spec.campaign_deadline_s
-
-        restored: Dict[int, FaultOutcome] = {}
-        if spec.checkpoint is not None:
-            jr.ckpt = CampaignCheckpoint(spec.checkpoint, spec.content_key(),
-                                         every=spec.checkpoint_every)
-            if spec.resume:
-                restored = {i: o for i, o in jr.ckpt.load().items()
-                            if 0 <= i < jr.total}
-        # checkpoint-restored outcomes also seed the cache: they are
-        # genuine deterministic verdicts this process never has to
-        # recompute, here or in any other job
-        for idx in sorted(restored):
-            jr.dispatched += 1
-            self._record(jr, idx, restored[idx], save=False)
-
-        pending: List[int] = []
-        for idx in range(jr.total):
-            if idx in jr.outcomes:
-                continue
-            if jr.cache is not None:
-                # prescreened jobs probe the surrogate context first
-                # (silently — the transient context owns the miss
-                # counter), then the shared transient context
-                hit = None
-                if jr.surrogate_key is not None:
-                    hit = jr.cache.get(jr.surrogate_key,
-                                       jr.fault_list[idx],
-                                       self._threshold(jr),
-                                       count_miss=False)
-                if hit is None:
-                    hit = jr.cache.get(jr.context_key, jr.fault_list[idx],
-                                       self._threshold(jr))
-                if hit is not None:
-                    jr.dispatched += 1
-                    self._record(jr, idx, hit, store=False)
-                    continue
-            pending.append(idx)
-
-        if pending and spec.prescreen == "surrogate":
-            # the prescreen runs here on the dispatcher, before the MNA
-            # reference is even scheduled: a fully surrogate-decided job
-            # performs zero transient simulations (same staging as
-            # FaultCampaign.run — checkpoint, cache, prescreen, dispatch)
-            from repro.surrogate.prescreen import SurrogatePrescreen
-            t_pre = time.perf_counter()
-            prescreen = SurrogatePrescreen(spec.technique, spec.detector,
-                                           self._threshold(jr),
-                                           config=spec.prescreen_config)
-            verdicts = prescreen.classify(
-                spec.target, [jr.fault_list[i] for i in pending])
-            escalated: List[int] = []
-            for idx, verdict in zip(pending, verdicts):
-                if verdict is None:
-                    escalated.append(idx)
-                else:
-                    jr.dispatched += 1
-                    self._record(jr, idx, verdict)
-            if jr.job_span is not None:
-                node = Span("service.prescreen",
-                            attrs={"job": jr.job.id,
-                                   "n_faults": len(pending),
-                                   "decided": len(pending) - len(escalated),
-                                   "escalated": len(escalated)},
-                            t_start=t_pre)
-                node.close()
-                node.pid = os.getpid()
-                jr.job_span.children.append(node)
-            pending = escalated
-
-        jr.emit_queue = deque(pending)
-        if not pending:
-            return
-
-        evaluate_probe = functools.partial(
-            _evaluate_fault, spec.technique, spec.detector,
-            self._threshold(jr), spec.on_error, jr.collect_obs,
-            spec.fault_timeout_s, spec.target, None, jr.trace_ctx)
-        jr.pooled = self._picklable(evaluate_probe, jr.fault_list)
-
-        if jr.have_reference:
-            self._build_shards(jr)
+        collect_obs = OBS.enabled or job.trace_ctx is not None
+        job_span = trace_ctx = None
+        if collect_obs:
+            job_span = Span("service.job",
+                            attrs={"job": job.id, "spec": spec.describe()})
+            job_span.pid = os.getpid()
+            if job.trace_ctx is not None:
+                job_span.attrs.update(job.trace_ctx.attrs())
+                trace_ctx = TraceContext(trace_id=job.trace_ctx.trace_id,
+                                         parent="service.job")
+        jr = _JobRun(spec, spec.cache if spec.cache is not None else self.cache,
+                     trace_ctx=trace_ctx, collect_obs=collect_obs,
+                     label=job.id, best_effort_checkpoint=True)
+        jr.job = job
+        jr.job_span = job_span
+        jr.stage()
+        if jr.prescreened is not None and job_span is not None:
+            t_pre, n_in, n_left = jr.prescreened
+            node = Span("service.prescreen",
+                        attrs={"job": job.id, "n_faults": n_in,
+                               "decided": n_in - n_left,
+                               "escalated": n_left},
+                        t_start=t_pre)
+            node.close()
+            node.pid = os.getpid()
+            job_span.children.append(node)
+        if not jr.emit_queue:
+            return jr
+        probe = functools.partial(
+            _evaluate_fault, spec.technique, spec.detector, spec.threshold,
+            spec.on_error, collect_obs, spec.fault_timeout_s, spec.target,
+            None, trace_ctx)
+        jr.pooled = _picklable(probe, jr.fault_list)
+        if jr.reference is not None:
+            jr.build_shards(self.shard_size)
         else:
             # the fault-free reference is itself one dispatched unit,
             # so a slow reference never stalls other jobs' shards
             jr.ready.append(_Shard("ref"))
-
-    def _threshold(self, jr: _JobRun) -> float:
-        return jr.spec.threshold
-
-    def _build_shards(self, jr: _JobRun) -> None:
-        spec = jr.spec
-        evaluate = functools.partial(
-            _evaluate_fault, spec.technique, spec.detector,
-            self._threshold(jr), spec.on_error, jr.collect_obs,
-            spec.fault_timeout_s, spec.target, jr.reference, jr.trace_ctx)
-        jr.evaluate = evaluate
-        use_batch = (spec.batch_size > 1
-                     and hasattr(spec.technique, "evaluate_batch"))
-        if use_batch:
-            jr.evaluate_batch = functools.partial(
-                _evaluate_fault_batch, spec.technique, spec.detector,
-                self._threshold(jr), spec.on_error, jr.collect_obs,
-                spec.fault_timeout_s, spec.target, jr.reference,
-                jr.trace_ctx)
-        width = spec.batch_size if use_batch else self.shard_size
-        pending = list(jr.emit_queue)
-        for start in range(0, len(pending), width):
-            jr.ready.append(_Shard("faults", pending[start:start + width]))
-
-    def _progress_cb(self, jr: _JobRun):
-        user_cb = jr.spec.progress
-
-        def cb(progress: Any) -> None:
-            jr.last_progress = progress
-            if user_cb is not None:
-                user_cb(progress)
-        return cb
-
-    @staticmethod
-    def _picklable(evaluate, fault_list) -> bool:
-        try:
-            pickle.dumps(evaluate)
-            pickle.dumps(fault_list)
-        except Exception:  # noqa: BLE001 - any failure means thread pool
-            return False
-        return True
-
-    # -- recording -----------------------------------------------------
-    def _record(self, jr: _JobRun, idx: int, outcome: FaultOutcome,
-                store: bool = True, save: bool = True) -> None:
-        jr.outcomes[idx] = outcome
-        if outcome.timed_out:
-            jr.failures.timeouts.append(outcome.fault.describe())
-            if OBS.enabled:
-                OBS.metrics.counter("campaign.fault_timeouts").inc()
-                event("campaign.fault_timeout", level="warning",
-                      fault=outcome.fault.describe(),
-                      budget_s=jr.spec.fault_timeout_s, job=jr.job.id)
-        if outcome.quarantined:
-            jr.failures.quarantined.append(outcome.fault.describe())
-            if OBS.enabled:
-                OBS.metrics.counter("campaign.quarantined").inc()
-                event("campaign.quarantine", level="error",
-                      fault=outcome.fault.describe(), job=jr.job.id)
-        if (store and jr.cache is not None
-                and not getattr(outcome, "from_cache", False)):
-            if outcome.decided_by == "surrogate":
-                if jr.surrogate_key is not None:
-                    jr.cache.put(jr.surrogate_key, outcome)
-            else:
-                jr.cache.put(jr.context_key, outcome)
-        if jr.job_span is not None:
-            _graft_spans(jr.job_span, outcome)
-        jr.tracker.update(outcome)
-        if jr.ckpt is not None and save:
-            self._save_ckpt(jr)
-
-    def _save_ckpt(self, jr: _JobRun, force: bool = False) -> None:
-        """Checkpoint writes are best-effort inside the service: a full
-        disk or failed rename costs recomputation after a crash, not
-        the dispatcher (standalone campaign runs keep raising)."""
-        try:
-            if force:
-                jr.ckpt.save(jr.outcomes, jr.total)
-            else:
-                jr.ckpt.maybe_save(jr.outcomes, jr.total)
-        except OSError:
-            if OBS.enabled:
-                OBS.metrics.counter("service.checkpoint_errors").inc()
-                event("service.checkpoint_error", level="warning",
-                      job=jr.job.id, path=jr.ckpt.path)
-
-    def _emit_ready(self, jr: _JobRun) -> None:
-        while jr.emit_queue and jr.emit_queue[0] in jr.buffered:
-            idx = jr.emit_queue.popleft()
-            self._record(jr, idx, jr.buffered.pop(idx))
-        # quarantine/timeout verdicts buffered out of order still land
-        # once their turn comes; nothing else to do here
+        return jr
 
     # -- dispatch loop -------------------------------------------------
-    async def _dispatch(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._wake = asyncio.Event()
-        self._loop_ready.set()
-        inflight: Dict[asyncio.Future, Tuple[_JobRun, _Shard, float]] = {}
-
-        try:
-            while True:
-                if self._closing:
-                    break
-                self._drain_intake()
-                self._sweep_deadlines(inflight)
-                self._fill_slots(inflight)
-                self._report_health(inflight)
-                for jr in list(self._active):
-                    self._maybe_finalize(jr)
-
-                if not inflight:
-                    await self._wait_for_wake()
-                    continue
-
-                await self._wait_inflight(inflight)
-                self._handle_hangs(inflight)
-                for jr in list(self._active):
-                    self._maybe_finalize(jr)
-        finally:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-            if self._threads is not None:
-                self._threads.shutdown(wait=False, cancel_futures=True)
-
-    async def _wait_for_wake(self) -> None:
-        try:
-            await asyncio.wait_for(self._wake.wait(), timeout=0.5)
-        except asyncio.TimeoutError:
-            return
-        self._wake.clear()
-
     def _drain_intake(self) -> None:
         while True:
             with self._intake_lock:
@@ -793,18 +562,21 @@ class CampaignScheduler:
         if not job.done():
             job._future.set_exception(CampaignError("job cancelled"))
 
-    def _sweep_deadlines(self, inflight) -> None:
-        now = time.monotonic()
+    def _sweep_deadlines(self) -> None:
+        kill = False
         for jr in list(self._active):
             if jr.job.cancel_requested:
                 jr.ready.clear()
                 self._cancel_job(jr.job, jr)
                 continue
-            if (jr.deadline_end is not None and not jr.deadline_hit
-                    and now > jr.deadline_end):
-                jr.deadline_hit = True
+            if (jr.deadline is not None and not jr.failures.deadline_hit
+                    and jr.deadline.expired()):
                 jr.failures.deadline_hit = True
                 jr.ready.clear()
+                # a hung shard must not hold the job past its deadline
+                kill = kill or (jr.pooled and jr.inflight > 0)
+        if kill:
+            self._break_pool([])
 
     def _next_shard(self) -> Optional[Tuple[_JobRun, _Shard]]:
         candidates = [jr for jr in self._active if jr.ready]
@@ -814,8 +586,12 @@ class CampaignScheduler:
                  key=lambda j: (-j.job.priority, j.share, j.seq))
         return jr, jr.ready.popleft()
 
-    def _fill_slots(self, inflight) -> None:
-        while len(inflight) < self.workers:
+    def _fill_slots(self) -> None:
+        # while a crash suspect remains, one shard at a time: only a
+        # shard that crashes alone names its fault
+        while len(self._inflight) < (
+                1 if any(jr.crash_counts for jr in self._active)
+                else self.workers):
             pick = self._next_shard()
             if pick is None:
                 return
@@ -826,22 +602,12 @@ class CampaignScheduler:
                 shard = self._strip_cached(jr, shard)
                 if shard is None:
                     continue
-            if shard.kind == "ref":
-                fn = functools.partial(_call_reference, jr.spec.technique,
-                                       jr.spec.target)
-            elif jr.evaluate_batch is not None and len(shard.indices) > 1:
-                fn = functools.partial(
-                    jr.evaluate_batch,
-                    [jr.fault_list[i] for i in shard.indices])
-            else:
-                fn = functools.partial(
-                    _evaluate_shard, jr.evaluate,
-                    [jr.fault_list[i] for i in shard.indices])
             try:
-                fut = self._loop.run_in_executor(self._executor(jr), fn)
+                fut = self._executor(jr).submit(jr.shard_call(shard))
             except concurrent.futures.BrokenExecutor:
+                # a worker died since the last wait; this shard never ran
                 jr.ready.appendleft(shard)
-                self._handle_pool_break(inflight)
+                self._handle_crash([])
                 continue
             jr.inflight += 1
             if shard.kind == "faults":
@@ -852,7 +618,7 @@ class CampaignScheduler:
                                          "kind": shard.kind,
                                          "n_faults": len(shard.indices)})
                 shard.span.pid = os.getpid()
-            inflight[fut] = (jr, shard, time.monotonic())
+            self._inflight[fut] = (jr, shard, time.monotonic())
 
     def _strip_cached(self, jr: _JobRun,
                       shard: _Shard) -> Optional[_Shard]:
@@ -861,13 +627,7 @@ class CampaignScheduler:
         from the cache (hits are buffered for in-order emission)."""
         fresh: List[int] = []
         for idx in shard.indices:
-            hit = None
-            if jr.surrogate_key is not None:
-                hit = jr.cache.get(jr.surrogate_key, jr.fault_list[idx],
-                                   self._threshold(jr), count_miss=False)
-            if hit is None:
-                hit = jr.cache.get(jr.context_key, jr.fault_list[idx],
-                                   self._threshold(jr), count_miss=False)
+            hit = jr.cache_hit(idx, count_miss=False)
             if hit is not None:
                 jr.buffered[idx] = hit
                 jr.dispatched += 1
@@ -875,34 +635,40 @@ class CampaignScheduler:
                 fresh.append(idx)
         if len(fresh) == len(shard.indices):
             return shard
-        self._emit_ready(jr)
-        return _Shard("faults", fresh) if fresh else None
+        jr.emit_ready()
+        return _Shard("faults", fresh, batched=shard.batched) if fresh else None
 
-    async def _wait_inflight(self, inflight) -> None:
+    def _wait(self, wake: Optional[concurrent.futures.Future] = None
+              ) -> None:
+        """Block until a shard lands, a shard budget or job deadline
+        comes due, or ``wake`` is set (a submit or close), then settle
+        what landed."""
+        if not self._inflight and wake is None:
+            return
         now = time.monotonic()
         waits: List[float] = []
-        for _, (jr, shard, t0) in inflight.items():
-            budget = jr.shard_budget(shard, self.timeout_grace_s)
+        for jr, shard, t0 in self._inflight.values():
+            budget = jr.shard_budget(shard)
             if budget is not None:
                 waits.append(t0 + budget - now)
         for jr in self._active:
-            if jr.deadline_end is not None and not jr.deadline_hit:
-                waits.append(jr.deadline_end - now)
+            if jr.deadline is not None and not jr.failures.deadline_hit:
+                waits.append(jr.deadline.remaining())
         wait_s = max(0.0, min(waits)) + 0.02 if waits else 0.5
-
-        wake_task = asyncio.ensure_future(self._wake.wait())
-        done, _ = await asyncio.wait({wake_task, *inflight},
-                                     timeout=wait_s,
-                                     return_when=asyncio.FIRST_COMPLETED)
-        if wake_task in done:
-            self._wake.clear()
-            done.discard(wake_task)
-        else:
-            wake_task.cancel()
+        futures = set(self._inflight)
+        if wake is not None:
+            futures.add(wake)
+        done, _ = concurrent.futures.wait(
+            futures, timeout=wait_s,
+            return_when=concurrent.futures.FIRST_COMPLETED)
+        if wake in done:
+            done.discard(wake)
+            with self._intake_lock:
+                self._wake = concurrent.futures.Future()
 
         crashed: List[Tuple[_JobRun, _Shard]] = []
         for fut in done:
-            jr, shard, t0 = inflight.pop(fut)
+            jr, shard, _ = self._inflight.pop(fut)
             jr.inflight -= 1
             try:
                 payload = fut.result()
@@ -915,7 +681,7 @@ class CampaignScheduler:
                 continue
             self._land(jr, shard, payload)
         if crashed:
-            self._handle_crash(inflight, crashed)
+            self._handle_crash(crashed)
 
     def _close_shard_span(self, jr: _JobRun, shard: _Shard,
                           **attrs: Any) -> None:
@@ -933,19 +699,13 @@ class CampaignScheduler:
 
     def _land(self, jr: _JobRun, shard: _Shard, payload: Any) -> None:
         self._close_shard_span(jr, shard)
-        if jr.job.state is not JobState.RUNNING:
-            return
+        if jr.job.state is not JobState.RUNNING or jr.failures.deadline_hit:
+            return  # cancelled, failed or past its deadline: discarded
         if shard.kind == "ref":
             jr.reference = payload
-            jr.have_reference = True
-            self._build_shards(jr)
-            return
-        if jr.deadline_hit:
-            return  # past the campaign deadline: result discarded
-        for idx, outcome in zip(shard.indices, payload):
-            jr.crash_counts.pop(idx, None)  # exonerated
-            jr.buffered[idx] = outcome
-        self._emit_ready(jr)
+            jr.build_shards(self.shard_size)
+        else:
+            jr.land(shard.indices, payload)
 
     # -- failure handling ----------------------------------------------
     def _fail_job(self, jr: _JobRun, exc: BaseException) -> None:
@@ -956,148 +716,117 @@ class CampaignScheduler:
         if not jr.job.done():
             jr.job._future.set_exception(exc)
 
-    def _handle_crash(self, inflight, crashed) -> None:
-        """A worker died: every pooled in-flight shard is suspect.  The
-        pool is rebuilt; crashed shards are re-dispatched one fault at
-        a time with a strike each, and a fault striking
-        ``_QUARANTINE_AFTER`` times is recorded as a poison pill."""
-        for jr, shard in crashed:
+    def _live(self, jr: _JobRun) -> bool:
+        return (jr.job.state is JobState.RUNNING
+                and not jr.failures.deadline_hit)
+
+    def _handle_crash(self, crashed: List[Tuple[_JobRun, _Shard]]) -> None:
+        """A worker died.  A dead worker fails every future of its pool,
+        so blame cannot be narrowed: every pooled in-flight shard takes
+        a strike and its faults are re-queued one per shard.  While a
+        suspect remains :meth:`_fill_slots` keeps one shard in flight,
+        so only the poison pill crashes again — alone — and is
+        quarantined at ``_QUARANTINE_AFTER`` strikes; innocents complete
+        and are exonerated."""
+        for fut, (jr, shard, _) in list(self._inflight.items()):
+            if jr.pooled:
+                del self._inflight[fut]
+                jr.inflight -= 1
+                crashed.append((jr, shard))
+        self._kill_pool()
+        struck: List[_JobRun] = []
+        # highest indices first: strike() re-queues at the front
+        for jr, shard in sorted(crashed, key=lambda c: c[1].indices,
+                                reverse=True):
+            self._close_shard_span(jr, shard, failed="worker_crash")
+            if self._live(jr):
+                jr.strike(shard)
+                if jr not in struck:
+                    struck.append(jr)
+        for jr in struck:
             jr.failures.worker_crashes += 1
             if OBS.enabled:
                 OBS.metrics.counter("campaign.worker_crashes").inc()
-            self._close_shard_span(jr, shard, failed="worker_crash")
-            self._requeue_singles(jr, shard, strike=True)
-        self._handle_pool_break(inflight)
+                event("campaign.worker_crash", level="error",
+                      suspects=sorted(jr.fault_list[i].describe()
+                                      for i in jr.crash_counts),
+                      **jr.tags)
+        self._count_pool_kill(struck)
 
-    def _handle_pool_break(self, inflight) -> None:
-        """Kill + rebuild the shared pool, rescuing innocent in-flight
-        shards (re-queued intact, no strike)."""
+    def _break_pool(self, hit: List[_JobRun]) -> None:
+        """Kill the shared pool over a hang or a campaign deadline.  The
+        culprits are already out of flight (``hit`` lists their jobs);
+        every other pooled in-flight shard is innocent and re-queued
+        intact, with no strike — unless its job is itself past its
+        deadline, when it is dropped."""
         self._kill_pool()
-        for fut, (jr, shard, _) in list(inflight.items()):
+        for fut, (jr, shard, _) in list(self._inflight.items()):
             if not jr.pooled:
                 continue
-            del inflight[fut]
+            del self._inflight[fut]
             jr.inflight -= 1
+            if not self._live(jr):
+                self._close_shard_span(jr, shard, failed="dropped")
+                continue
+            self._close_shard_span(jr, shard, failed="pool_killed")
+            jr.requeue(shard)
+            if jr not in hit:
+                hit.append(jr)
+        self._count_pool_kill(hit)
+
+    @staticmethod
+    def _count_pool_kill(jobs: List[_JobRun]) -> None:
+        for jr in jobs:
             jr.failures.pools_killed += 1
             if OBS.enabled:
                 OBS.metrics.counter("campaign.pools_killed").inc()
-            if shard.kind == "faults":
-                jr.dispatched -= len(shard.indices)
-            self._close_shard_span(jr, shard, failed="pool_killed")
-            jr.ready.appendleft(shard)
-            fut.add_done_callback(_swallow)
 
-    def _requeue_singles(self, jr: _JobRun, shard: _Shard,
-                         strike: bool) -> None:
-        jr.failures.pools_killed += 1
-        if OBS.enabled:
-            OBS.metrics.counter("campaign.pools_killed").inc()
-        if shard.kind == "ref":
-            jr.ready.appendleft(shard)
-            return
-        jr.dispatched -= len(shard.indices)
-        for idx in reversed(shard.indices):
-            if strike:
-                jr.crash_counts[idx] = jr.crash_counts.get(idx, 0) + 1
-                if jr.crash_counts[idx] >= _QUARANTINE_AFTER:
-                    jr.buffered[idx] = _quarantine_outcome(
-                        jr.fault_list[idx], jr.crash_counts[idx])
-                    jr.dispatched += 1
-                    continue
-            jr.ready.appendleft(_Shard("faults", [idx]))
-        self._emit_ready(jr)
-
-    def _handle_hangs(self, inflight) -> None:
+    def _handle_hangs(self) -> None:
         """A shard past its wall-clock budget missed every cooperative
-        check: kill the pool, time out single-fault shards, split
-        multi-fault shards for individual blame."""
+        check: kill the pool.  A lone per-fault shard becomes a
+        structured timeout; any other shard re-runs one fault per shard
+        for individual verdicts."""
         now = time.monotonic()
         hung = [(fut, jr, shard, t0)
-                for fut, (jr, shard, t0) in inflight.items()
+                for fut, (jr, shard, t0) in self._inflight.items()
                 if jr.pooled
-                and (budget := jr.shard_budget(shard,
-                                               self.timeout_grace_s))
-                is not None and now - t0 > budget]
+                and (budget := jr.shard_budget(shard)) is not None
+                and now - t0 > budget]
         if not hung:
             return
+        hit: List[_JobRun] = []
         for fut, jr, shard, t0 in hung:
-            del inflight[fut]
+            del self._inflight[fut]
             jr.inflight -= 1
-            fut.add_done_callback(_swallow)
             self._close_shard_span(jr, shard, failed="hang")
-            jr.failures.pools_killed += 1
-            if OBS.enabled:
-                OBS.metrics.counter("campaign.pools_killed").inc()
-            if len(shard.indices) == 1:
-                idx = shard.indices[0]
-                jr.buffered[idx] = _timeout_outcome(
-                    jr.fault_list[idx], jr.spec.fault_timeout_s,
-                    now - t0, killed=True)
-                self._emit_ready(jr)
+            if not self._live(jr):
+                continue
+            if len(shard.indices) == 1 and not shard.batched:
+                jr.time_out(shard.indices[0], now - t0)
             else:
-                jr.dispatched -= len(shard.indices)
-                for idx in reversed(shard.indices):
-                    jr.ready.appendleft(_Shard("faults", [idx]))
-        self._handle_pool_break(inflight)
+                jr.requeue(shard, split=True)
+            if jr not in hit:
+                hit.append(jr)
+        self._break_pool(hit)
 
     # -- completion ----------------------------------------------------
-    def _maybe_finalize(self, jr: _JobRun) -> None:
-        if jr.job.state is not JobState.RUNNING:
-            return
-        work_left = jr.ready or jr.inflight
-        if jr.deadline_hit:
-            if jr.inflight:
-                return
-        elif work_left or jr.emit_queue:
-            return
-        self._finalize(jr)
+    def _finalize_complete(self) -> None:
+        for jr in list(self._active):
+            if jr.job.state is JobState.RUNNING and jr.complete():
+                self._finalize(jr)
 
     def _finalize(self, jr: _JobRun) -> None:
         if jr in self._active:
             self._active.remove(jr)
-        unevaluated = [i for i in jr.emit_queue if i not in jr.outcomes]
-        if unevaluated:
-            jr.failures.skipped.extend(
-                jr.fault_list[i].describe() for i in unevaluated)
-            if OBS.enabled:
-                OBS.metrics.counter("campaign.skipped").inc(len(unevaluated))
-                event("campaign.deadline", level="warning",
-                      skipped=len(unevaluated), job=jr.job.id,
-                      budget_s=jr.spec.campaign_deadline_s)
-        result = CampaignResult(
-            target_name=jr.spec.name
-            or getattr(jr.spec.target, "name",
-                       type(jr.spec.target).__name__),
-            reference=jr.reference,
-            threshold=self._threshold(jr),
-            failures=jr.failures)
-        result.outcomes = [jr.outcomes[i] for i in sorted(jr.outcomes)]
-        result.partial = bool(jr.failures.skipped or jr.failures.deadline_hit
-                              or jr.failures.timeouts
-                              or jr.failures.quarantined)
-        if jr.ckpt is not None:
-            self._save_ckpt(jr, force=True)
-        result.workers = self.workers
-        result.elapsed_s = time.perf_counter() - jr.t0
-        if jr.cache is not None and jr.cache_stats0 is not None:
-            result.cache_stats = jr.cache.stats.delta(jr.cache_stats0)
+        result = jr.finish(self.workers)
         if jr.job_span is not None:
-            jr.job_span.set(n_faults=result.n_faults,
-                            n_detected=result.n_detected,
-                            coverage=result.coverage)
-            if result.n_prescreened:
-                jr.job_span.set(n_prescreened=result.n_prescreened)
-            if result.partial:
-                jr.job_span.set(partial=True)
             jr.job_span.close()
         if jr.collect_obs:
             if OBS.enabled:
-                self._merge_obs(result)
-                if jr.job_span is not None:
-                    # the finished job span joins the ambient forest as
-                    # a root: Session.report()/exports see one
-                    # connected trace
-                    OBS.tracer.spans.append(jr.job_span)
+                _merge_obs(result, jr.job_span)
+                # the finished job span joins the ambient forest as a
+                # root: Session.report()/exports see one connected trace
+                OBS.tracer.spans.append(jr.job_span)
             else:
                 # no scope is ambient on the dispatcher right now (the
                 # submitter is between scopes, e.g. in watch()); park
@@ -1120,26 +849,12 @@ class CampaignScheduler:
                 pass
         self._publish_status(force=True)
 
-    @staticmethod
-    def _merge_obs(result: CampaignResult) -> None:
-        """Fold per-fault snapshots back into the ambient scope — the
-        same parity contract as a pooled campaign run."""
-        m = OBS.metrics
-        for o in result.outcomes:
-            m.merge(o.metrics)
-            if o.events:
-                OBS.events.extend(o.events)
-            m.histogram("campaign.fault_wall_s").observe(o.elapsed_s)
-        m.counter("campaign.runs").inc()
-        m.counter("campaign.faults_evaluated").inc(result.n_faults)
-        m.counter("campaign.errors").inc(result.n_errors)
-
-    def _report_health(self, inflight) -> None:
+    def _report_health(self) -> None:
         self._publish_status()
         if not OBS.enabled:
             return
         OBS.metrics.gauge("service.jobs_active").set(len(self._active))
-        OBS.metrics.gauge("service.shards_inflight").set(len(inflight))
+        OBS.metrics.gauge("service.shards_inflight").set(len(self._inflight))
         OBS.metrics.gauge("service.queue_depth").set(
             sum(len(jr.ready) for jr in self._active))
         if self.queue is not None:
@@ -1168,13 +883,6 @@ class CampaignScheduler:
             write_status(status_snapshot(self), self.status_path)
         except OSError:  # pragma: no cover - status is best-effort
             pass
-
-
-def _swallow(fut) -> None:
-    """Consume an abandoned future's exception so asyncio never logs
-    'exception was never retrieved' for shards we deliberately killed."""
-    if not fut.cancelled():
-        fut.exception()
 
 
 __all__ = ["CampaignScheduler", "CampaignJob", "JobState",

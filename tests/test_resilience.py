@@ -37,7 +37,7 @@ from repro.resilience import (
     installed,
     retry_scope,
 )
-from repro.service import CampaignSpec
+from repro.service import CampaignScheduler, CampaignSpec
 from repro.spice import Circuit, dc_operating_point, parse_netlist, transient
 from repro.verify.goldens import normalize
 
@@ -61,12 +61,16 @@ def measure_mid(ckt):
 
 def chaos_technique(ckt):
     """Technique with marker-fault trapdoors: the ``hang`` fault sleeps
-    (uninterruptible without a worker kill), the ``boom`` fault SIGKILLs
-    its own process, the ``interrupt`` fault (armed via environment so
-    the checkpoint content key stays constant) raises KeyboardInterrupt.
+    (uninterruptible without a worker kill), the ``slow`` fault sleeps
+    ~0.5 s and then measures (an innocent still running when ``boom``
+    kills its worker), the ``boom`` fault SIGKILLs its own process, the
+    ``interrupt`` fault (armed via environment so the checkpoint content
+    key stays constant) raises KeyboardInterrupt.
     """
     if ckt.has_element("FLT_hang_V"):
         time.sleep(30.0)
+    if ckt.has_element("FLT_slow_V"):
+        time.sleep(0.5)
     if ckt.has_element("FLT_boom_V"):
         os.kill(os.getpid(), signal.SIGKILL)
     if (os.environ.get("REPRO_TEST_INTERRUPT")
@@ -84,6 +88,22 @@ def slow_transient_technique(ckt):
 
 def delta_detector(ref, meas):
     return 1.0 if abs(ref - meas) > 0.1 else 0.0
+
+
+def run_campaign_pooled(spec):
+    return FaultCampaign(spec.technique, spec.detector,
+                         workers=2).run(spec=spec)
+
+
+def run_scheduler_pooled(spec):
+    with CampaignScheduler(workers=2) as sched:
+        return sched.submit(spec).result()
+
+
+#: the two entry points that drive the shared worker pool
+pooled_entry_points = pytest.mark.parametrize(
+    "run_pooled", [run_campaign_pooled, run_scheduler_pooled],
+    ids=["campaign", "scheduler"])
 
 
 def mid_faults(n=6):
@@ -477,16 +497,17 @@ class TestCampaignResilience:
         assert res.to_dict()["failures"]["deadline_hit"] is True
 
     @pytest.mark.chaos
-    def test_campaign_deadline_pooled(self):
-        ckt = divider()
+    @pooled_entry_points
+    def test_campaign_deadline_pooled(self, run_pooled):
         faults = mid_faults(4)
-        c = FaultCampaign(chaos_technique, delta_detector, workers=2)
-        # every pooled fault hangs; the campaign deadline must still end
+        # a pooled fault hangs; the campaign deadline must still end
         # the run promptly by killing the pool
         hang = [StuckAtFault(name="hang", node="mid", resistance=1.0)]
         t0 = time.perf_counter()
-        res = c.run(ckt, hang + faults[:1], reference=2.0,
-                    spec=CampaignSpec(campaign_deadline_s=0.5))
+        res = run_pooled(CampaignSpec(
+            technique=chaos_technique, detector=delta_detector,
+            target=divider(), faults=tuple(hang + faults[:1]),
+            reference=2.0, campaign_deadline_s=0.5))
         assert time.perf_counter() - t0 < 10.0
         assert res.partial
         assert res.failure_report().deadline_hit
@@ -555,23 +576,25 @@ class TestCampaignResilience:
         assert [f for _, f in seen] == [f.describe() for f in faults]
 
     @pytest.mark.chaos
-    def test_chaos_pooled_hang_and_crash(self):
+    @pooled_entry_points
+    def test_chaos_pooled_hang_and_crash(self, run_pooled):
         """The chaos acceptance test: one hanging fault, one
-        worker-killing fault and healthy faults in one pooled campaign.
-        The run completes, the hang is timed out, the killer is
-        quarantined after two crashes, innocents are evaluated, and the
-        accounting is exact."""
-        ckt = divider()
+        worker-killing fault, a slow innocent in flight when the killer
+        strikes and healthy faults in one pooled campaign.  The run
+        completes, the hang is timed out, the killer is quarantined
+        after two crashes, innocents (the slow one included) are
+        evaluated, and the accounting is exact."""
         hang = StuckAtFault(name="hang", node="mid", resistance=1.0)
+        slow = StuckAtFault(name="slow", node="mid", resistance=1.0)
         boom = StuckAtFault(name="boom", node="mid", resistance=1.0)
         healthy = mid_faults(3)
-        faults = [healthy[0], hang, boom, healthy[1], healthy[2]]
-        c = FaultCampaign(chaos_technique, delta_detector, workers=2)
+        faults = [healthy[0], slow, boom, hang, healthy[1], healthy[2]]
         with observe() as h:
-            res = c.run(ckt, faults, reference=2.0,
-                        spec=CampaignSpec(fault_timeout_s=0.4,
-                                          timeout_grace_s=0.3))
-        assert res.n_faults == 5          # every fault accounted for
+            res = run_pooled(CampaignSpec(
+                technique=chaos_technique, detector=delta_detector,
+                target=divider(), faults=tuple(faults), reference=2.0,
+                fault_timeout_s=0.4, timeout_grace_s=0.3))
+        assert res.n_faults == 6          # every fault accounted for
         assert res.partial
         rep = res.failure_report()
         assert rep.timeouts == [hang.describe()]
@@ -585,7 +608,7 @@ class TestCampaignResilience:
         assert not by_fault[hang.describe()].detected
         assert by_fault[boom.describe()].quarantined
         assert not by_fault[boom.describe()].detected
-        for f in healthy:
+        for f in healthy + [slow]:
             o = by_fault[f.describe()]
             assert o.error is None and o.detected
         # the degradation is visible in metrics and in the payload

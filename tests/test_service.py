@@ -4,9 +4,6 @@ Pins the service contracts from the API redesign:
 
 * ``CampaignSpec`` is frozen, validating, and serialises into the
   campaign content hash — a spec *is* the campaign's identity.
-* legacy ``FaultCampaign.run()`` option kwargs keep working through a
-  warn-once deprecation shim and produce results identical to the spec
-  path.
 * the content-addressed ``ResultCache`` makes warm re-runs perform
   **zero simulations** while producing ``to_dict()`` payloads identical
   to the cold run (wall-clock total aside), under serial, pooled and
@@ -151,31 +148,6 @@ class TestCampaignSpec:
     def test_live_objects_excluded_from_equality(self):
         base = _spec()
         assert base.replace(progress=print, cache=ResultCache()) == base
-
-
-# --- the legacy-kwarg deprecation shim ------------------------------------
-
-class TestLegacyShim:
-    def test_legacy_kwargs_warn_once_and_match_spec(self, monkeypatch):
-        import repro.faults.campaign as campaign_mod
-        monkeypatch.setattr(campaign_mod, "_LEGACY_KWARGS_WARNED", False)
-        c = FaultCampaign(_mid_voltage, _shift_detector, threshold=0.5)
-        with pytest.warns(DeprecationWarning, match="CampaignSpec"):
-            legacy = c.run(divider(), _divider_faults(), heartbeat_every=2)
-        # second legacy call: shim already warned, stays silent (the
-        # suite runs with DeprecationWarning-as-error, so a repeat
-        # warning would raise here)
-        legacy2 = c.run(divider(), _divider_faults(), heartbeat_every=2)
-        modern = c.run(divider(), _divider_faults(),
-                       spec=CampaignSpec(heartbeat_every=2))
-        assert _normalized(legacy) == _normalized(modern) == \
-            _normalized(legacy2)
-
-    def test_spec_plus_legacy_kwargs_rejected(self):
-        c = FaultCampaign(_mid_voltage, _shift_detector, threshold=0.5)
-        with pytest.raises(ValueError, match="both spec="):
-            c.run(divider(), _divider_faults(), heartbeat_every=2,
-                  spec=CampaignSpec())
 
 
 # --- ResultCache ----------------------------------------------------------
