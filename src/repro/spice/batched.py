@@ -7,7 +7,10 @@ structure: the K variants walk the grid in lockstep, sharing the step
 loop, the deadline bookkeeping and (for linear circuits) the per-step
 source evaluation and the recurrence arithmetic, which is stacked into a
 ``(K, n, n)`` tensor and applied with one :func:`numpy.matmul` per step
-instead of K Python-level marches.
+instead of K Python-level marches.  MOSFET circuits share each Newton
+iteration's device evaluation: one stacked
+:class:`~repro.spice.fastpath.MOSFETGroup` call over all K variants'
+transistors instead of K.
 
 Exactness contract
 ------------------
@@ -19,12 +22,23 @@ on each variant individually:
   ``np.dot((n, n), (n,))`` (verified empirically in the test suite);
   per-source columns are added in the same element order with the same
   scalar levels;
-* nonlinear variants advance through the *same*
+* Newton lockstep groups stamp every variant's transistors through one
+  stacked :class:`~repro.spice.fastpath.MOSFETGroup` whose per-variant
+  tables are the serial K = 1 tables at an offset, so each ``G``/``b``
+  entry sums the same values in the same order as the serial build
+  (:func:`numpy.add.at` is unbuffered and applies repeated indices in
+  order); each variant then solves through its own
+  :meth:`~repro.spice.mna.MNASystem.solve_fast` (LU reuse included),
+  applies the serial :class:`~repro.spice.solver.NewtonProgress`
+  damping, convergence and stall tests, and on failure halves its step
+  through the serial ``_subdivide``.  The step length is computed as
+  ``t_to - t_from`` exactly as ``_advance`` does, because it keys the
+  static-G cache and scales the gate-cap companions;
+* every other nonlinear variant advances through the *same*
   :func:`repro.spice.transient._advance` /
-  :func:`repro.spice.solver.newton_solve` code as the serial engine —
-  lockstep means step-synchronised, not arithmetically re-associated —
-  so Newton damping, LU reuse, homotopy escalation and timestep
-  subdivision behave identically per variant;
+  :func:`repro.spice.solver.newton_solve` code as the serial engine;
+  either way Newton damping, LU reuse, homotopy escalation, timestep
+  subdivision and the ``stats`` counts behave identically per variant;
 * any variant the batch cannot finish (deck validation failure, Newton
   breakdown, linear-march breakdown) is *evicted* — its slot returns
   ``None`` and the caller re-runs that variant through the serial path,
@@ -38,8 +52,10 @@ internal node and a source branch, a bridging fault adds nothing, so a
 homogeneous fault universe usually lands in one or two groups).  Within
 a size group, linear backward-Euler variants whose time-varying sources
 are the *same value objects* (the normal case: faulty copies share the
-base circuit's stimulus) form a lockstep tensor group; everything else
-marches per-variant in the shared step loop.
+base circuit's stimulus) form a lockstep tensor group.  Dense
+backward-Euler variants whose only nonlinear elements are plain MOSFETs
+form a Newton lockstep group; everything else marches per-variant in
+the shared step loop.
 """
 
 from __future__ import annotations
@@ -53,15 +69,26 @@ from repro.obs.core import OBS, event
 from repro.resilience.deadline import DEADLINE
 from repro.resilience.retry import RetryPolicy, active_policy
 from repro.spice.elements import Capacitor, evaluate_source
-from repro.spice.fastpath import LinearMarch, linear_march_supported
-from repro.spice.mna import Assembler
+from repro.spice.fastpath import (LinearMarch, MOSFETGroup,
+                                  linear_march_supported)
+from repro.spice.mna import Assembler, MNASystem
 from repro.spice.netlist import Circuit, GROUND
-from repro.spice.solver import NewtonError, _solve_with_homotopy
+from repro.spice.solver import (
+    VTOL,
+    NewtonError,
+    NewtonProgress,
+    _solve_with_homotopy,
+    checked_solve,
+    note_solve,
+)
 from repro.spice.transient import (
     GridMismatchWarning,
     TransientResult,
     _advance,
+    _begin_step,
+    _end_step,
     _run_linear_march,
+    _subdivide,
 )
 from repro.spice.validate import validate_deck
 
@@ -351,39 +378,171 @@ class BatchedMarch:
     # ------------------------------------------------------------------
     def _run_newton_route(self, variants: List[_Variant],
                           results: List[Optional[TransientResult]]) -> None:
-        """Step-synchronised generic route: every variant advances
-        through the serial engine's own ``_advance`` (Newton damping,
-        LU reuse, subdivision recursion and all), one grid point at a
-        time across the batch."""
-        active = list(variants)
+        """Step-synchronised generic route, one grid point at a time
+        across the batch.  Lockstep-eligible variants (see
+        :meth:`_newton_groups`) advance per same-size group through
+        :class:`_NewtonGroup`; the rest advance one by one through the
+        serial engine's own ``_advance`` (Newton damping, LU reuse,
+        subdivision recursion and all)."""
+        groups, solo = self._newton_groups(variants)
         times = self.times
         for k in range(1, self.n_steps + 1):
-            if not active:
+            if not (solo or any(group.live for group in groups)):
                 break
             if DEADLINE.active is not None:
                 DEADLINE.active.check("batched transient march")
             t_target = float(times[k])
-            for v in list(active):
+            t_from = t_target - self.dt
+            for group in groups:
+                group.advance(self, k, t_from, t_target)
+            for v in list(solo):
                 state = v.state
                 state.method = ("be" if (self.method == "trap" and k == 1)
                                 else self.method)
                 try:
                     v.x = _advance(v.assembler, state, v.capacitors, v.x,
-                                   t_from=t_target - self.dt, t_to=t_target,
+                                   t_from=t_from, t_to=t_target,
                                    max_newton=self.max_newton,
                                    depth=self.max_subdivisions)
                 except NewtonError as exc:
                     self._evict(v, f"NewtonError: {exc}")
-                    active.remove(v)
+                    solo.remove(v)
                     continue
                 v.capture(k, v.x)
-        for v in active:
+        for v in variants:
+            if v.slot in self.failures:
+                continue
             if OBS.enabled:
                 OBS.metrics.counter("transient.runs").inc()
                 OBS.metrics.counter("transient.steps").inc(self.n_steps)
             results[v.slot] = v.result(self.times, self.n_steps, self.method,
                                        engine="batched_newton",
                                        batch_k=len(variants))
+
+    def _newton_groups(self, variants: List[_Variant]
+                       ) -> Tuple[List["_NewtonGroup"], List[_Variant]]:
+        """Split Newton-route variants into lockstep groups and the
+        per-variant rest.  A variant can lockstep when it marches by
+        backward Euler on the dense route and its only nonlinear
+        elements are plain MOSFETs (the vectorised group); groups share
+        the MNA size ``n``."""
+        by_size: Dict[int, List[_Variant]] = {}
+        solo: List[_Variant] = []
+        for v in variants:
+            asm = v.assembler
+            if (self.method == "be" and not asm.use_sparse
+                    and asm._mosfet_group is not None
+                    and not asm._nonlinear_elems):
+                by_size.setdefault(asm.n, []).append(v)
+            else:
+                solo.append(v)
+        groups = [_NewtonGroup(group) for group in by_size.values()]
+        if OBS.enabled and groups:
+            OBS.metrics.counter("batched.lockstep_groups").inc(len(groups))
+        return groups, solo
+
+
+class _NewtonGroup:
+    """Newton lockstep over same-size MOSFET variants.
+
+    Each Newton iteration builds every pending variant's linear part
+    into its own assembler scratch system — rebound here to one slice of
+    a ``(K, n, n)`` matrix stack — then evaluates and stamps all K
+    variants' devices with one stacked :class:`MOSFETGroup`, and solves
+    each variant through its own :meth:`MNASystem.solve_fast`.  Damping,
+    convergence and stall tests are the serial
+    :class:`~repro.spice.solver.NewtonProgress`, per variant; a variant
+    whose solve fails leaves the lockstep for this grid point and
+    halves its step through the serial ``_subdivide``.
+    """
+
+    def __init__(self, variants: List[_Variant]) -> None:
+        n = variants[0].assembler.n
+        k_var = len(variants)
+        self.live = list(variants)
+        self.row = {v.slot: i for i, v in enumerate(variants)}
+        self.g = np.zeros((k_var, n, n))
+        self.b = np.zeros((k_var, n))
+        self.x = np.zeros((k_var, n))
+        self.x_prev = np.zeros((k_var, n))
+        for i, v in enumerate(variants):
+            sys = v.assembler._scratch
+            sys.g, sys.b = self.g[i], self.b[i]
+        self.mosfets = MOSFETGroup(
+            [v.assembler._mosfet_group.devices for v in variants], n)
+
+    def advance(self, march: BatchedMarch, k: int, t_from: float,
+                t_to: float) -> None:
+        """Advance every live variant to grid point ``k`` (``t_to``)."""
+        live = self.live
+        if not live:
+            return
+        for v in live:
+            _begin_step(v.state, v.x, t_from, t_to)
+            self.x_prev[self.row[v.slot]] = v.x
+        outcomes = self._newton(live, march.max_newton)
+        for v, out in zip(list(live), outcomes):
+            if isinstance(out, NewtonError):
+                try:
+                    v.x = _subdivide(v.assembler, v.state, v.capacitors, v.x,
+                                     t_from, t_to, march.max_newton,
+                                     march.max_subdivisions, out)
+                except NewtonError as exc:
+                    march._evict(v, f"NewtonError: {exc}")
+                    live.remove(v)
+                    continue
+            else:
+                _end_step(v.state, v.capacitors, out)
+                v.x = out
+            v.capture(k, v.x)
+        if OBS.enabled:
+            OBS.metrics.counter("batched.lockstep_steps").inc(len(outcomes))
+
+    def _newton(self, live: List[_Variant], max_iter: int) -> list:
+        """One Newton solve per live variant, in lockstep; returns each
+        variant's solution or its :class:`NewtonError`."""
+        progress = []
+        for v in live:
+            x = np.array(v.x, dtype=float)
+            v.state.x = x
+            progress.append(NewtonProgress(x, stall_check=True))
+        outcomes: list = [None] * len(live)
+        pending = list(range(len(live)))
+        dt = live[0].state.dt
+        iteration = 0
+        for iteration in range(1, max_iter + 1):
+            if not pending:
+                return outcomes
+            if DEADLINE.active is not None:
+                DEADLINE.active.check("newton_solve")
+            for j in pending:
+                v = live[j]
+                v.assembler.build(v.state, mosfets=False)
+                self.x[self.row[v.slot]] = progress[j].x
+            self.mosfets.stamp(self.g, self.b, self.x, self.x_prev, dt)
+            still = []
+            for j in pending:
+                v, p = live[j], progress[j]
+                try:
+                    converged = p.step(checked_solve(MNASystem.solve_fast,
+                                                     v.assembler._scratch),
+                                       VTOL)
+                except NewtonError as exc:
+                    note_solve(v.assembler, v.state, iteration, exc, p.stalled)
+                    outcomes[j] = exc
+                    continue
+                v.state.x = p.x
+                if converged:
+                    note_solve(v.assembler, v.state, iteration)
+                    outcomes[j] = p.x
+                else:
+                    still.append(j)
+            pending = still
+        for j in pending:
+            exc = progress[j].budget_error(max_iter)
+            note_solve(live[j].assembler, live[j].state, iteration, exc)
+            outcomes[j] = exc
+        return outcomes
 
 
 def batched_transient(circuits: Sequence[Circuit], t_stop: float, dt: float,

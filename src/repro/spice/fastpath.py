@@ -41,7 +41,7 @@ from repro.spice.elements import (
 
 
 class MOSFETGroup:
-    """Vectorised Newton stamping for a set of level-1 MOSFETs.
+    """Vectorised Newton stamping for the level-1 MOSFETs of K circuits.
 
     The group pre-computes device-parameter arrays and scatter index
     arrays at assembly time; each Newton iteration is then a fixed
@@ -50,44 +50,60 @@ class MOSFETGroup:
     operation for operation so the per-device values are bitwise
     identical to the scalar path — only the order in which contributions
     are summed into shared matrix entries differs.
+
+    ``variants`` holds one device list per circuit, all of MNA size
+    ``n``.  An assembler stamps its own circuit through a K = 1 group;
+    the batched engine stacks K same-size circuits into one group whose
+    tables address a ``(K, n, n)`` matrix stack with per-variant
+    offsets.  Each variant's entries keep their serial order, and
+    :func:`numpy.add.at` sums repeated indices in table order, so every
+    stacked ``G``/``b`` entry is bitwise the K = 1 sum.
     """
 
-    def __init__(self, devices: Sequence, n: int) -> None:
-        self.devices = list(devices)
+    def __init__(self, variants: Sequence[Sequence], n: int) -> None:
+        self.devices = [dev for devices in variants for dev in devices]
         self.n = n
-        nd = len(self.devices)
+        k_var = len(variants)
+        devices = self.devices
+        nd = len(devices)
         self.pol = np.array([d.params.polarity for d in devices], dtype=float)
         self.vto = np.array([d.params.vto for d in devices])
         self.beta = np.array([d.beta for d in devices])
         self.lam = np.array([d.params.lam for d in devices])
         self.g_leak = np.array([d.params.g_leak for d in devices])
+        # Per-device variant offsets into the flattened stacks: solution
+        # vectors extended by a ground slot (n + 1 each), matrices (n*n)
+        # and right-hand sides (n).
+        var = np.repeat(np.arange(k_var),
+                        [len(devices) for devices in variants])
+        x_off, g_off, b_off = var * (n + 1), var * (n * n), var * n
 
-        idx = np.array([d._idx for d in devices], dtype=np.intp)  # (nd, 3): d,g,s
+        idx = np.array([d._idx for d in devices],
+                       dtype=np.intp).reshape(nd, 3)  # d, g, s
         # Gather indices: ground (-1) is redirected to a zero slot at
-        # position n of the extended solution vector.  The transposed
+        # position n of each extended solution vector.  The transposed
         # flat layout [all d | all g | all s] lets one fancy-index pull
         # every terminal voltage at once.
-        self._gather = np.where(idx < 0, n, idx)
-        self._gather_t = self._gather.T.copy().ravel()
-        self._xext = np.zeros(n + 1)
-        self._pext = np.zeros(n + 1)
+        gather = np.where(idx < 0, n, idx) + x_off[:, None]
+        self._gather_t = gather.T.copy().ravel()
+        self._xext = np.zeros((k_var, n + 1))
+        self._pext = np.zeros((k_var, n + 1))
         self._jbuf = np.empty(3 * nd)
 
         # --- Jacobian scatter table -----------------------------------
         # Per device, the scalar stamp adds, for col in (d, g, s):
         #   G[d, col] += dI/dcol ;  G[s, col] -= dI/dcol
         # kind 0/1/2 selects dI/dvd, dI/dvg, dI/dvs.
-        rows, cols, kinds, devs, signs = [], [], [], [], []
+        g_flat, kinds, devs, signs = [], [], [], []
         for i, (d, g, s) in enumerate(idx):
             for kind, col in enumerate((d, g, s)):
                 for row, sign in ((d, 1.0), (s, -1.0)):
                     if row >= 0 and col >= 0:
-                        rows.append(row)
-                        cols.append(col)
+                        g_flat.append(g_off[i] + row * n + col)
                         kinds.append(kind)
                         devs.append(i)
                         signs.append(sign)
-        self._g_flat = np.array(rows, dtype=np.intp) * n + np.array(cols, dtype=np.intp)
+        self._g_flat = np.array(g_flat, dtype=np.intp)
         # J is laid out as concatenate((dI/dvd, dI/dvg, dI/dvs)).
         self._j_gather = np.array(kinds, dtype=np.intp) * nd + np.array(devs, dtype=np.intp)
         self._j_signs = np.array(signs)
@@ -98,7 +114,7 @@ class MOSFETGroup:
         for i, (d, _g, s) in enumerate(idx):
             for row, sign in ((d, -1.0), (s, 1.0)):
                 if row >= 0:
-                    b_idx.append(row)
+                    b_idx.append(b_off[i] + row)
                     b_signs.append(sign)
                     b_devs.append(i)
         self._b_idx = np.array(b_idx, dtype=np.intp)
@@ -109,8 +125,8 @@ class MOSFETGroup:
         # Two linear capacitors per device: (g, s, Cgs) and (g, d, Cgd).
         # Their conductance geq = C/dt is state-independent (static for a
         # fixed dt); their companion current depends on x_prev (per step).
-        cap_a, cap_b, cap_c = [], [], []
-        for i, dev in enumerate(self.devices):
+        cap_a, cap_b, cap_c, cap_dev = [], [], [], []
+        for i, dev in enumerate(devices):
             d, g, s = idx[i]
             for a, b, c in ((g, s, dev.params.cgs_per_area * dev.w * dev.l),
                             (g, d, dev.params.cgd_overlap * dev.w)):
@@ -118,18 +134,19 @@ class MOSFETGroup:
                     cap_a.append(a)
                     cap_b.append(b)
                     cap_c.append(c)
-        self._cap_a = np.array(cap_a, dtype=np.intp)
-        self._cap_b = np.array(cap_b, dtype=np.intp)
+                    cap_dev.append(i)
         self._cap_c = np.array(cap_c)
-        self._cap_ga = np.where(self._cap_a < 0, n, self._cap_a)
-        self._cap_gb = np.where(self._cap_b < 0, n, self._cap_b)
+        cap_x_off = x_off[np.array(cap_dev, dtype=np.intp)]
+        for name, nodes in (("_cap_ga", cap_a), ("_cap_gb", cap_b)):
+            nodes = np.array(nodes, dtype=np.intp)
+            setattr(self, name, np.where(nodes < 0, n, nodes) + cap_x_off)
         # Conductance scatter: (a,a)+, (b,b)+, (a,b)-, (b,a)-.
         cg_flat, cg_signs, cg_caps = [], [], []
         for k in range(len(cap_c)):
-            a, b = cap_a[k], cap_b[k]
+            a, b, off = cap_a[k], cap_b[k], g_off[cap_dev[k]]
             for r, c, sign in ((a, a, 1.0), (b, b, 1.0), (a, b, -1.0), (b, a, -1.0)):
                 if r >= 0 and c >= 0:
-                    cg_flat.append(r * n + c)
+                    cg_flat.append(off + r * n + c)
                     cg_signs.append(sign)
                     cg_caps.append(k)
         self._cg_flat = np.array(cg_flat, dtype=np.intp)
@@ -141,7 +158,7 @@ class MOSFETGroup:
         for k in range(len(cap_c)):
             for node, sign in ((cap_a[k], 1.0), (cap_b[k], -1.0)):
                 if node >= 0:
-                    cb_idx.append(node)
+                    cb_idx.append(b_off[cap_dev[k]] + node)
                     cb_signs.append(sign)
                     cb_caps.append(k)
         self._cb_idx = np.array(cb_idx, dtype=np.intp)
@@ -157,24 +174,35 @@ class MOSFETGroup:
         np.add.at(g_mat.ravel(), self._cg_flat, self._cg_signs * geq[self._cg_caps])
 
     def stamp_newton(self, sys, state) -> None:
-        """Stamp the square-law Jacobian/companions plus gate-cap RHS."""
+        """Stamp one circuit's square-law Jacobian/companions plus
+        gate-cap RHS into its system (a K = 1 group)."""
+        self.stamp(sys.g, sys.b, state.x, state.x_prev, state.dt)
+
+    def stamp(self, g: np.ndarray, b: np.ndarray, x: np.ndarray,
+              x_prev: np.ndarray, dt) -> None:
+        """Stamp every variant at once: ``g`` is the C-contiguous
+        ``(K, n, n)`` (or, for K = 1, ``(n, n)``) matrix stack, ``b``
+        and ``x``/``x_prev`` the matching right-hand sides and Newton
+        estimates; ``dt is None`` means DC (no gate-cap companions)."""
         nd = len(self.devices)
         xext = self._xext
-        xext[:self.n] = state.x
-        v_all = xext[self._gather_t]
+        xext[:, :self.n] = x
+        v_all = xext.ravel()[self._gather_t]
         vd, vg, vs = v_all[:nd], v_all[nd:2 * nd], v_all[2 * nd:]
         i0, di_dd, di_dg, di_ds = self._small_signal(vd, vg, vs)
         jac = np.concatenate((di_dd, di_dg, di_ds), out=self._jbuf)
-        np.add.at(sys.g.ravel(), self._g_flat,
+        np.add.at(g.reshape(-1), self._g_flat,
                   self._j_signs * jac[self._j_gather])
         ieq = i0 - (di_dd * vd + di_dg * vg + di_ds * vs)
-        np.add.at(sys.b, self._b_idx, self._b_signs * ieq[self._b_devs])
-        if state.dt is not None and len(self._cap_c):
+        b_flat = b.reshape(-1)
+        np.add.at(b_flat, self._b_idx, self._b_signs * ieq[self._b_devs])
+        if dt is not None and len(self._cap_c):
             pext = self._pext
-            pext[:self.n] = state.x_prev
-            v_prev = pext[self._cap_ga] - pext[self._cap_gb]
-            flow = (self._cap_c / state.dt) * v_prev
-            np.add.at(sys.b, self._cb_idx, self._cb_signs * flow[self._cb_caps])
+            pext[:, :self.n] = x_prev
+            pext_flat = pext.ravel()
+            v_prev = pext_flat[self._cap_ga] - pext_flat[self._cap_gb]
+            flow = (self._cap_c / dt) * v_prev
+            np.add.at(b_flat, self._cb_idx, self._cb_signs * flow[self._cb_caps])
 
     def _small_signal(self, vd, vg, vs):
         """Vectorised mirror of ``MOSFET._small_signal``.

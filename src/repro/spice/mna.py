@@ -268,7 +268,8 @@ class Assembler:
                 self._const_rhs_elems.append(elem)
             else:
                 self._dynamic_elems.append(elem)
-        self._mosfet_group = MOSFETGroup(mosfets, self.n) if mosfets else None
+        self._mosfet_group = (MOSFETGroup([mosfets], self.n) if mosfets
+                              else None)
         self._static_key: Optional[Tuple] = None
         self._g_static: Optional[np.ndarray] = None
         self._b_const = np.zeros(self.n)
@@ -326,11 +327,13 @@ class Assembler:
             self._refresh_static(state)
         return self._g_static
 
-    def build(self, state: SimState) -> MNASystem:
+    def build(self, state: SimState, mosfets: bool = True) -> MNASystem:
         """Assemble ``G x = b`` for the present state (one Newton step).
 
         Returns the assembler's scratch system — callers must not hold a
-        reference across iterations.
+        reference across iterations.  ``mosfets=False`` leaves out the
+        vectorised MOSFET group's stamp, for a caller that stamps a
+        stacked group over several assemblers' systems itself.
         """
         sys = self._scratch
         if not self.fast_path:
@@ -359,7 +362,7 @@ class Assembler:
             elem.stamp(sys, state)
         for elem in self._nonlinear_elems:
             elem.stamp(sys, state)
-        if self._mosfet_group is not None:
+        if mosfets and self._mosfet_group is not None:
             self._mosfet_group.stamp_newton(sys, state)
         return sys
 

@@ -30,27 +30,117 @@ __all__ = ["NewtonError", "newton_solve", "dc_operating_point"]
 #: through the square-law kinks).
 MAX_STEP_V = 0.6
 
+#: Newton convergence tolerance: the largest per-iteration move [V].
+VTOL = 1e-7
 
-def _note_newton(iterations: int, failed: bool) -> None:
-    """Record one Newton solve in the ambient metrics (caller checks
-    ``OBS.enabled`` so the disabled path costs one branch)."""
+
+#: A transient Newton solve *stalls* when its best max-move has not
+#: shrunk below ``STALL_SHRINK`` times its previous best for
+#: ``STALL_ITERS`` consecutive iterations.  Such a solve is cycling
+#: (typically around a square-law kink at a stimulus edge) and would
+#: spend the rest of its budget before the timestep is halved anyway,
+#: so it fails at once.  DC and homotopy solves (``state.dt is None``)
+#: are exempt: a converging operating point can walk clamped at
+#: ``MAX_STEP_V`` for many non-improving iterations.
+STALL_ITERS = 8
+STALL_SHRINK = 0.9
+
+
+class NewtonProgress:
+    """One Newton solve's iterate and its damping, convergence and stall
+    tests — the single definition shared by :func:`newton_solve` and
+    the batched engine's lockstep loop."""
+
+    __slots__ = ("x", "max_move", "stall_check", "best", "since", "stalled")
+
+    def __init__(self, x: np.ndarray, stall_check: bool) -> None:
+        self.x = x
+        self.max_move = 0.0
+        self.stall_check = stall_check
+        self.best = np.inf
+        self.since = 0
+        self.stalled = False
+
+    def step(self, x_new: np.ndarray, vtol: float) -> bool:
+        """Move toward the linear solve ``x_new`` (clamped to
+        ``MAX_STEP_V``); True once the move is below ``vtol``.  Raises
+        :class:`NewtonError` when the solve has stalled."""
+        x = self.x
+        delta = x_new - x
+        max_move = float(np.max(np.abs(delta))) if len(x) else 0.0
+        self.max_move = max_move
+        if max_move > MAX_STEP_V:
+            self.x = x + delta * (MAX_STEP_V / max_move)
+        else:
+            self.x = x_new
+        if max_move < vtol:
+            return True
+        if self.stall_check:
+            if max_move < STALL_SHRINK * self.best:
+                self.best = max_move
+                self.since = 0
+            else:
+                self.since += 1
+                if self.since >= STALL_ITERS:
+                    self.stalled = True
+                    raise NewtonError(
+                        f"Newton stalled: best move {self.best:.3g} V not "
+                        f"improved in {STALL_ITERS} iterations (last move "
+                        f"{max_move:.3g} V)")
+        return False
+
+    def budget_error(self, max_iter: int) -> NewtonError:
+        """The failure of a solve that used up its iteration budget."""
+        return NewtonError(f"Newton failed to converge in {max_iter} "
+                           f"iterations (last move {self.max_move:.3g} V)")
+
+
+def checked_solve(solve, sys: MNASystem) -> np.ndarray:
+    """One linear solve of a built system; singular or non-finite
+    results surface as :class:`NewtonError`."""
+    try:
+        x_new = solve(sys)
+    except np.linalg.LinAlgError as exc:
+        raise NewtonError(f"singular MNA matrix: {exc}") from exc
+    if not np.all(np.isfinite(x_new)):
+        raise NewtonError("non-finite solution from linear solve")
+    return x_new
+
+
+def note_solve(assembler: Assembler, state: SimState, iterations: int,
+               error: Optional[NewtonError] = None,
+               stalled: bool = False) -> None:
+    """Account one finished Newton solve: the run's deterministic
+    ``state.stats`` and, when observing, the ambient metrics (plus a
+    ``solver.newton_nonconvergence`` event on failure)."""
+    state.stats["newton_solves"] += 1
+    state.stats["newton_iterations"] += iterations
+    if not OBS.enabled:
+        return
     m = OBS.metrics
     m.counter("solver.newton_solves").inc()
     m.counter("solver.newton_iterations").inc(iterations)
-    if failed:
-        m.counter("solver.convergence_failures").inc()
+    if error is None:
+        return
+    m.counter("solver.convergence_failures").inc()
+    if stalled:
+        m.counter("solver.newton_stalls").inc()
+    event("solver.newton_nonconvergence", level="warning",
+          circuit=assembler.circuit.name, iterations=iterations,
+          t=state.t, dt=state.dt, gmin=state.gmin, stalled=stalled,
+          reason=str(error))
 
 
 def newton_solve(assembler: Assembler, state: SimState,
-                 max_iter: int = 120, vtol: float = 1e-7,
+                 max_iter: int = 120, vtol: float = VTOL,
                  x0: Optional[np.ndarray] = None) -> np.ndarray:
     """Damped Newton iteration on the MNA system for the present state.
 
     Returns the converged solution vector.  Raises :class:`NewtonError`
-    on failure (singular matrix or iteration budget exhausted).
+    on failure: a singular matrix, the ``max_iter`` budget exhausted,
+    or — for a transient timepoint — a stall (see :data:`STALL_ITERS`).
     """
-    n = assembler.n
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(assembler.n) if x0 is None else np.array(x0, dtype=float)
     state.x = x
     if assembler.fast_path and assembler.is_linear:
         # Linear circuits: the matrix is constant for this configuration,
@@ -58,61 +148,34 @@ def newton_solve(assembler: Assembler, state: SimState,
         # factorization (factor once per (dt, method, gmin), then
         # back-substitute on every call).
         sys = assembler.build(state)
-        try:
-            x_new = (assembler.solve_cached_splu(sys) if assembler.use_sparse
-                     else assembler.solve_cached_lu(sys))
-        except np.linalg.LinAlgError as exc:
-            raise NewtonError(f"singular MNA matrix: {exc}") from exc
-        if not np.all(np.isfinite(x_new)):
-            raise NewtonError("non-finite solution from linear solve")
+        x_new = checked_solve(assembler.solve_cached_splu
+                              if assembler.use_sparse
+                              else assembler.solve_cached_lu, sys)
         state.x = x_new
-        state.stats["newton_solves"] += 1
-        state.stats["newton_iterations"] += 1
         state.stats["linear_solves"] += 1
+        note_solve(assembler, state, 1)
         if OBS.enabled:
-            _note_newton(1, failed=False)
             OBS.metrics.counter("solver.linear_solves").inc()
         return x_new
     if assembler.fast_path and assembler.use_sparse:
         solve = assembler.solve_sparse  # bound: called as solve(sys) too
     else:
         solve = MNASystem.solve_fast if assembler.fast_path else MNASystem.solve
+    progress = NewtonProgress(x, stall_check=state.dt is not None)
     iteration = 0
     try:
         for iteration in range(1, max_iter + 1):
             if DEADLINE.active is not None:
                 DEADLINE.active.check("newton_solve")
-            sys = assembler.build(state)
-            try:
-                x_new = solve(sys)
-            except np.linalg.LinAlgError as exc:
-                raise NewtonError(f"singular MNA matrix: {exc}") from exc
-            if not np.all(np.isfinite(x_new)):
-                raise NewtonError("non-finite solution from linear solve")
-            delta = x_new - x
-            max_move = float(np.max(np.abs(delta))) if n else 0.0
-            if max_move > MAX_STEP_V:
-                x = x + delta * (MAX_STEP_V / max_move)
-            else:
-                x = x_new
-            state.x = x
-            if max_move < vtol:
-                state.stats["newton_solves"] += 1
-                state.stats["newton_iterations"] += iteration
-                if OBS.enabled:
-                    _note_newton(iteration, failed=False)
-                return x
-        raise NewtonError(f"Newton failed to converge in {max_iter} "
-                          f"iterations (last move {max_move:.3g} V)")
+            converged = progress.step(
+                checked_solve(solve, assembler.build(state)), vtol)
+            state.x = progress.x
+            if converged:
+                note_solve(assembler, state, iteration)
+                return progress.x
+        raise progress.budget_error(max_iter)
     except NewtonError as exc:
-        state.stats["newton_solves"] += 1
-        state.stats["newton_iterations"] += iteration
-        if OBS.enabled:
-            _note_newton(iteration, failed=True)
-            event("solver.newton_nonconvergence", level="warning",
-                  circuit=assembler.circuit.name, iterations=iteration,
-                  t=state.t, dt=state.dt, gmin=state.gmin,
-                  reason=str(exc))
+        note_solve(assembler, state, iteration, exc, progress.stalled)
         raise
 
 

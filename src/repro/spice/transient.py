@@ -177,7 +177,11 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
         "Use initial conditions": skip the OP solve and start from zero /
         capacitor ``ic`` values, as SPICE's ``UIC`` does.
     max_newton:
-        Newton iteration budget per solve.
+        Newton iteration budget per solve (the operating point gets
+        twice this).  A transient timepoint's solve also stops early,
+        and has its step halved, when it stalls: its best move has not
+        shrunk by 10% in 8 iterations (see
+        :data:`repro.spice.solver.STALL_ITERS`).
     max_subdivisions:
         Levels of local step halving tried on Newton failure.  Default:
         the retry policy's ``max_timestep_halvings`` (historically 8).
@@ -387,39 +391,60 @@ def _advance(assembler: Assembler, state: SimState,
              depth: int) -> np.ndarray:
     """Advance the solution from ``t_from`` to ``t_to``; subdivide on
     Newton failure."""
-    step = t_to - t_from
-    state.dt = step
-    state.t = t_to
-    state.x_prev = x
+    _begin_step(state, x, t_from, t_to)
     try:
         x_new = newton_solve(assembler, state, max_iter=max_newton, x0=x)
-    except NewtonError:
-        if depth <= 0:
-            raise
-        state.stats["subdivisions"] += 1
-        note_retry("timestep_halving", t_from=t_from, t_to=t_to,
-                   depth_remaining=depth)
-        if OBS.enabled:
-            OBS.metrics.counter("transient.subdivisions").inc()
-            event("transient.subdivision",
-                  level="info" if depth > 2 else "warning",
-                  t_from=t_from, t_to=t_to, depth_remaining=depth)
-            # A storm — many halvings inside one march — usually means
-            # dt is far too coarse for the circuit's fastest edge; flag
-            # it once, at the threshold crossing.
-            if state.stats["subdivisions"] == _SUBDIVISION_STORM:
-                event("transient.subdivision_storm", level="warning",
-                      subdivisions=_SUBDIVISION_STORM, t=t_to)
-        aux_backup = dict(state.aux)
-        t_mid = t_from + step / 2.0
-        try:
-            x_mid = _advance(assembler, state, capacitors, x, t_from, t_mid,
-                             max_newton, depth - 1)
-            return _advance(assembler, state, capacitors, x_mid, t_mid, t_to,
-                            max_newton, depth - 1)
-        except NewtonError:
-            state.aux = aux_backup
-            raise
+    except NewtonError as exc:
+        return _subdivide(assembler, state, capacitors, x, t_from, t_to,
+                          max_newton, depth, exc)
+    _end_step(state, capacitors, x_new)
+    return x_new
+
+
+def _begin_step(state: SimState, x: np.ndarray, t_from: float,
+                t_to: float) -> None:
+    """Point the state at the step ``t_from -> t_to`` from solution ``x``."""
+    state.dt = t_to - t_from
+    state.t = t_to
+    state.x_prev = x
+
+
+def _end_step(state: SimState, capacitors: Iterable[Capacitor],
+              x_new: np.ndarray) -> None:
+    """Commit a converged step's capacitor integration state."""
     for cap in capacitors:
         cap.record_state(state, x_new)
-    return x_new
+
+
+def _subdivide(assembler: Assembler, state: SimState,
+               capacitors: Iterable[Capacitor], x: np.ndarray,
+               t_from: float, t_to: float, max_newton: int, depth: int,
+               error: NewtonError) -> np.ndarray:
+    """March ``t_from -> t_to`` as two half steps after its Newton solve
+    failed with ``error`` (re-raised once ``depth`` is exhausted)."""
+    if depth <= 0:
+        raise error
+    state.stats["subdivisions"] += 1
+    note_retry("timestep_halving", t_from=t_from, t_to=t_to,
+               depth_remaining=depth)
+    if OBS.enabled:
+        OBS.metrics.counter("transient.subdivisions").inc()
+        event("transient.subdivision",
+              level="info" if depth > 2 else "warning",
+              t_from=t_from, t_to=t_to, depth_remaining=depth)
+        # A storm — many halvings inside one march — usually means
+        # dt is far too coarse for the circuit's fastest edge; flag
+        # it once, at the threshold crossing.
+        if state.stats["subdivisions"] == _SUBDIVISION_STORM:
+            event("transient.subdivision_storm", level="warning",
+                  subdivisions=_SUBDIVISION_STORM, t=t_to)
+    aux_backup = dict(state.aux)
+    t_mid = t_from + (t_to - t_from) / 2.0
+    try:
+        x_mid = _advance(assembler, state, capacitors, x, t_from, t_mid,
+                         max_newton, depth - 1)
+        return _advance(assembler, state, capacitors, x_mid, t_mid, t_to,
+                        max_newton, depth - 1)
+    except NewtonError:
+        state.aux = aux_backup
+        raise

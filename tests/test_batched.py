@@ -136,6 +136,85 @@ def test_batched_newton_route_bitwise_identical():
         assert _stats_sans_engine(got.stats) == _stats_sans_engine(ref.stats)
 
 
+def _e7_variants(faults, with_reference=False):
+    """E7's circuit-1 variants sharing one PRBS stimulus object (what
+    the transient technique's batch protocol hands the engine)."""
+    cfg = TransientTestConfig(low_v=2.0, high_v=3.5)
+    tester = TransientResponseTester(cfg)
+    stimulus = cfg.stimulus()
+    base = op1_follower(input_value=2.5)
+    circuits = ([base] if with_reference else []) + [inject(base, f)
+                                                     for f in faults]
+    variants = [c.copy() for c in circuits]
+    for v in variants:
+        v.element(tester.source_name).value = stimulus
+    return variants, cfg, stimulus
+
+
+def _assert_lockstep_matches_serial(variants, t_stop, dt):
+    with observe() as h:
+        batched = batched_transient(variants, t_stop, dt, record=["3"])
+    serial = [transient(c, t_stop, dt, record=["3"]) for c in variants]
+    for got, ref in zip(batched, serial):
+        assert got is not None
+        assert got.stats["engine"] == "batched_newton"
+        _assert_bitwise(got, ref, ["3"])
+        assert _stats_sans_engine(got.stats) == _stats_sans_engine(ref.stats)
+    return h.metrics.counter_values(), serial
+
+
+def test_lockstep_newton_e7_universe_bitwise_identical():
+    # The paper's 16 circuit-1 faults fall into two MNA sizes (n=13 for
+    # node stuck-ats, n=15 for the stuck-at pairs), i.e. two lockstep
+    # groups, each bitwise equal to the serial march.
+    variants, cfg, stimulus = _e7_variants(paper_circuit1_faults())
+    sizes = {c.system_size() for c in variants}
+    assert sizes == {13, 15}
+    counters, _serial = _assert_lockstep_matches_serial(
+        variants, stimulus.duration, cfg.sim_dt_s)
+    n_steps = int(round(stimulus.duration / cfg.sim_dt_s))
+    assert counters["batched.lockstep_groups"] == 2
+    assert counters["batched.lockstep_steps"] == 16 * n_steps
+
+
+def test_lockstep_newton_group_with_subdividing_variants():
+    # The fault-free reference and a weak bridge halve their steps at
+    # grid points 216-250 while the hard bridges march straight
+    # through: failed rows leave the lockstep for the serial
+    # subdivision, the rest continue.  Bridges add no unknowns, so all
+    # four variants share one group.
+    faults = [BridgingFault("b3-0", "3", "0", resistance=1e6),
+              BridgingFault("b3-0h", "3", "0", resistance=1e4),
+              BridgingFault("b7-8", "7", "8", resistance=1e3)]
+    variants, cfg, _stimulus = _e7_variants(faults, with_reference=True)
+    t_stop = 260 * cfg.sim_dt_s
+    counters, serial = _assert_lockstep_matches_serial(variants, t_stop,
+                                                       cfg.sim_dt_s)
+    subdivisions = [r.stats["subdivisions"] for r in serial]
+    assert subdivisions[0] > 0 and subdivisions[1] > 0
+    assert subdivisions[2] == subdivisions[3] == 0
+    assert counters["batched.lockstep_groups"] == 1
+    assert counters["transient.subdivisions"] == sum(subdivisions)
+
+
+def test_lockstep_newton_falls_back_for_ineligible_variants():
+    # A Switch is a nonlinear element outside the vectorised MOSFET
+    # group: that variant keeps the per-variant loop inside the batch
+    # while its same-size neighbours lockstep.
+    def drive(t):
+        return 2.2 if t < 5e-6 else 2.8
+    faults = stuck_at_universe(["4", "5"])
+    variants = [inject(op1_follower(input_value=drive), f) for f in faults]
+    switched = op1_follower(input_value=drive)
+    switched.switch("S1", "3", "0", "1", "0", v_on=10.0)
+    variants.insert(1, inject(switched, faults[0]))
+    assert len({c.system_size() for c in variants}) == 1
+    counters, _serial = _assert_lockstep_matches_serial(variants, 2e-5,
+                                                        2.5e-7)
+    assert counters["batched.lockstep_groups"] == 1
+    assert counters["batched.lockstep_steps"] == 80 * (len(variants) - 1)
+
+
 def test_batched_trap_method_bitwise_identical():
     variants = _bridge_variants(3)
     batched = batched_transient(variants, 1e-5, 1e-8, record=["b"],

@@ -189,7 +189,8 @@ class TestPersistentQueue:
         queue.submit("a", _spec().resolved())
         queue.mark("a", "done")
         # simulate losing the submitted line but keeping the mark
-        lines = open(path, encoding="utf-8").read().splitlines()
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(lines[-1] + "\n")
         with pytest.warns(RuntimeWarning, match="quarantined"):

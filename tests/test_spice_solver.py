@@ -192,3 +192,91 @@ class TestLinearize:
     def test_non_source_input_rejected(self):
         with pytest.raises(TypeError):
             transfer_function_at(self._rc(), "R1", "out", 0.0)
+
+
+class TestStallRule:
+    """Transient Newton solves that stop making progress fail fast; the
+    outputs must be those of the full iteration budget."""
+
+    @staticmethod
+    def _e7_circuits():
+        from repro.circuits.op1 import op1_follower
+        from repro.core.transient_test import TransientResponseTester
+        from repro.experiments.e7_fig4_detection import CIRCUIT1_CONFIG
+        from repro.faults.injector import inject
+        from repro.faults.universe import paper_circuit1_faults
+
+        tester = TransientResponseTester(CIRCUIT1_CONFIG)
+        base = op1_follower(input_value=2.5)
+        circuits = [base] + [inject(base, f) for f in paper_circuit1_faults()]
+        return ([tester.prepared_circuit(c) for c in circuits],
+                CIRCUIT1_CONFIG)
+
+    @staticmethod
+    def _runs(jobs):
+        out = []
+        for circuit, t_stop, dt, record in jobs:
+            res = transient(circuit, t_stop, dt, record=record)
+            out.append(({n: res.array(n) for n in res.nodes()},
+                        res.stats["subdivisions"]))
+        return out
+
+    def test_stall_rule_changes_no_waveform(self, monkeypatch):
+        from repro.spice import solver
+        from repro.verify.generate import generate_circuit
+
+        circuits, cfg = self._e7_circuits()
+        duration = cfg.stimulus().duration
+        jobs = [(c, duration, cfg.sim_dt_s, ["3"]) for c in circuits]
+        for seed in range(20):
+            gen = generate_circuit(seed, "mosfet")
+            jobs.append((gen.circuit, gen.t_stop, gen.dt, None))
+        fail_fast = self._runs(jobs)
+        monkeypatch.setattr(solver, "STALL_ITERS", 10 ** 6)
+        full_budget = self._runs(jobs)
+        assert fail_fast[0][1] > 0   # the OP1 reference does subdivide
+        for (got, sub_got), (want, sub_want) in zip(fail_fast, full_budget):
+            assert sub_got == sub_want
+            assert got.keys() == want.keys()
+            for node in want:
+                assert np.array_equal(got[node], want[node])
+
+    def test_cycling_reference_timepoint_fails_fast(self, monkeypatch):
+        from repro.obs.core import observe
+        from repro.spice import solver
+
+        circuits, cfg = self._e7_circuits()
+        # The reference's first failing solve is at grid point 216.
+        t_stop = 220 * cfg.sim_dt_s
+
+        def first_failure():
+            with observe() as o:
+                with pytest.raises(NewtonError) as info:
+                    transient(circuits[0], t_stop, cfg.sim_dt_s,
+                              record=["3"], max_subdivisions=0)
+            rec = o.events.records(name="solver.newton_nonconvergence")
+            assert len(rec) == 1
+            stalls = o.metrics.counter_values().get("solver.newton_stalls", 0)
+            return str(info.value), rec[0]["fields"], stalls
+
+        message, fields, stalls = first_failure()
+        assert "stalled" in message
+        assert fields["stalled"] and stalls == 1
+        assert fields["iterations"] <= solver.STALL_ITERS + 4
+        monkeypatch.setattr(solver, "STALL_ITERS", 10 ** 6)
+        message, slow, stalls = first_failure()
+        assert "60 iterations" in message
+        assert not slow["stalled"] and stalls == 0
+        assert slow["iterations"] == 60 and slow["t"] == fields["t"]
+
+    def test_dc_solves_are_exempt(self, monkeypatch):
+        # Under a one-iteration stall rule the OP1 operating point's
+        # Newton walk would fail (its second move is no smaller than
+        # its first); DC solves are exempt, so nothing changes.
+        from repro.spice import solver
+
+        circuits, _cfg = self._e7_circuits()
+        v_default, _ = dc_operating_point(circuits[0])
+        monkeypatch.setattr(solver, "STALL_ITERS", 1)
+        v_eager, _ = dc_operating_point(circuits[0])
+        assert v_default == v_eager
