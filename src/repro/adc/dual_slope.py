@@ -168,22 +168,28 @@ class DualSlopeADC:
         """Ramp test support: integrate a slowly varying input over its
         duration and return the maximum integrator voltage reached."""
         cal = self.cal
-        self.integrator.reset(cal.fall_threshold_v)
-        peak = self.integrator.v_out
+        level = cal.fall_threshold_v
+        self.integrator.reset(level)
         n_cycles = int(v_in_wave.duration * cal.clock_hz)
         # The BIST runs repeated conversions along the ramp; the peak per
         # conversion tracks the input.  We model the envelope by resetting
-        # every integrate window.
-        cycles_per_window = cal.integrate_cycles
-        for start in range(0, n_cycles, cycles_per_window):
-            self.integrator.reset(cal.fall_threshold_v)
-            for k in range(cycles_per_window):
-                t = (start + k) * cal.clock_period_s
-                if t > v_in_wave.t_end:
-                    break
-                self.integrator.integrate_cycle(v_in_wave.value_at(t))
-                peak = max(peak, self.integrator.v_out)
-        return peak
+        # every integrate window.  The windows are independent, so they
+        # march in lockstep as the rows of one array.  Each window runs
+        # its full integrate_cycles (the last one past n_cycles) but no
+        # cycle later than the end of the stimulus counts.
+        cycles = cal.integrate_cycles
+        n_windows = -(-n_cycles // cycles)
+        t = np.arange(n_windows * cycles) * cal.clock_period_s
+        v_in = np.interp(t, v_in_wave.times, v_in_wave.values)
+        v_out = self.integrator.integrate_windows(
+            level, v_in.reshape(n_windows, cycles)).ravel()
+        # t rises, so the cycles that count are a prefix of the grid
+        n_valid = int(np.count_nonzero(t <= v_in_wave.t_end))
+        if n_valid == 0:
+            return level
+        if n_valid > (n_windows - 1) * cycles:
+            self.integrator.v_out = float(v_out[n_valid - 1])
+        return max(level, float(v_out[:n_valid].max()))
 
     # ------------------------------------------------------------------
     @property

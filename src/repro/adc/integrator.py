@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+import numpy as np
+
 from repro.adc.calibration import ADCCalibration, PAPER_CALIBRATION
 from repro.lti.zdomain import ZTransferFunction, sc_integrator_ztf
 from repro.signals.waveform import Waveform
@@ -68,15 +70,33 @@ class IntegratorModel:
     def _clip(self) -> None:
         self.v_out = min(self.v_max, max(self.v_min, self.v_out))
 
-    def _nonlinear_gain(self) -> float:
-        """Voltage-coefficient gain factor at the present output level.
+    def _clipped(self, v: np.ndarray) -> np.ndarray:
+        """``_clip`` elementwise: the same selection as the ``min``/``max``
+        builtins (a NaN lands on ``v_min``), so values stay bitwise equal."""
+        v = np.where(v > self.v_min, v, self.v_min)
+        return np.where(v < self.v_max, v, self.v_max)
 
-        The integration capacitor's value shifts with the voltage across
-        it; referencing to mid-swing keeps the mid-scale gain nominal.
+    def _charged(self, v, v_in):
+        """One cycle of leak, input charge packet and offset from output
+        ``v``, before the swing clip.
+
+        The packet is scaled so a full-scale input ramps the output across
+        the nominal 2.5 V swing in ``integrate_cycles``; the capacitor's
+        voltage coefficient (referenced to mid-swing, so the mid-scale
+        gain stays nominal) makes it output-dependent.  Only ``+ - * /``
+        appear, so ``v`` and ``v_in`` may be floats or equal-shape arrays
+        and every element sees the same float64 operations in the same
+        order.
         """
-        v_mid = 0.5 * (self.cal.precharge_v + self.cal.fall_threshold_v)
-        return 1.0 + self.cal.cap_voltage_coeff * (self.v_out - v_mid) \
-            / max(self.cal.full_scale_v, 1e-12)
+        cal = self.cal
+        v_mid = 0.5 * (cal.precharge_v + cal.fall_threshold_v)
+        nonlinear_gain = 1.0 + cal.cap_voltage_coeff * (v - v_mid) \
+            / max(cal.full_scale_v, 1e-12)
+        per_cycle = cal.full_scale_v / cal.integrate_cycles
+        packet = self.gain * nonlinear_gain * per_cycle \
+            * (v_in / cal.full_scale_v)
+        return v * (1.0 - self.leak_per_cycle) + packet \
+            + self.offset_per_cycle_v
 
     # ------------------------------------------------------------------
     # Conversion mode
@@ -85,18 +105,28 @@ class IntegratorModel:
         """One clock cycle of charge transfer from the input."""
         if not self.enabled:
             return self.v_out
-        self.v_out = self.v_out * (1.0 - self.leak_per_cycle) \
-            + self._charge_step(v_in) + self.offset_per_cycle_v
+        self.v_out = self._charged(self.v_out, v_in)
         self._clip()
         return self.v_out
 
-    def _charge_step(self, v_in: float) -> float:
-        """Charge packet per cycle, scaled so a full-scale input ramps the
-        output across the nominal 2.5 V swing in ``integrate_cycles``."""
-        nominal_full_swing = self.cal.full_scale_v  # 2.5 V at full scale
-        per_cycle = nominal_full_swing / self.cal.integrate_cycles
-        return self.gain * self._nonlinear_gain() * per_cycle \
-            * (v_in / self.cal.full_scale_v)
+    def integrate_windows(self, start_v: float,
+                          v_in: np.ndarray) -> np.ndarray:
+        """Integrate independent windows in lockstep.
+
+        Row ``w`` of the 2-D ``v_in`` holds one window's per-cycle inputs
+        and every window starts from ``start_v``.  Returns the output
+        after each cycle, shaped like ``v_in``: entry ``[w, k]`` is
+        bitwise what ``integrate_cycle`` leaves in ``v_out`` after cycle
+        ``k`` of window ``w``.  ``v_out`` itself is not touched.
+        """
+        if not self.enabled:
+            return np.full(v_in.shape, float(start_v))
+        out = np.empty(v_in.shape)
+        v = np.full(v_in.shape[0], float(start_v))
+        for k in range(v_in.shape[1]):
+            v = self._clipped(self._charged(v, v_in[:, k]))
+            out[:, k] = v
+        return out
 
     def deintegrate_cycle(self) -> float:
         """One clock cycle of reference discharge (phase 2)."""
@@ -146,17 +176,30 @@ class IntegratorModel:
         waveform until it crosses the fall threshold (or ``max_time``)."""
         if dt <= 0:
             raise ValueError("dt must be positive")
-        values = [self.v_out]
-        t = 0.0
-        while self.v_out > self.cal.fall_threshold_v and t < max_time:
-            if self.enabled:
-                self.v_out -= self.cal.discharge_slope_v_per_s * dt
-                self._clip()
-            t += dt
-            values.append(self.v_out)
-            if not self.enabled and t >= max_time:
-                break
-        return Waveform(values, dt, name="integrator")
+        if not math.isfinite(max_time):
+            raise ValueError("max_time must be finite")
+        threshold = self.cal.fall_threshold_v
+        v0 = self.v_out
+        if not (v0 > threshold and max_time > 0.0):
+            return Waveform([v0], dt, name="integrator")
+        # Step k runs while the clock before it is below max_time; the
+        # clock sums dt one step at a time, as a running ``t += dt`` does.
+        t = np.add.accumulate(np.full(math.ceil(max_time / dt) + 2, dt))
+        n_steps = 1 + int(np.count_nonzero(t < max_time))
+        if not self.enabled:
+            return Waveform(np.full(n_steps + 1, v0), dt, name="integrator")
+        # The first step is clipped into the swing like ``_clip``; from
+        # there the discharge moves one way, so clipping the running
+        # difference elementwise binds exactly where a per-step clip would.
+        step = self.cal.discharge_slope_v_per_s * dt
+        v = np.full(n_steps, step)
+        v[0] = self._clipped(v0 - step)
+        v = self._clipped(np.subtract.accumulate(v))
+        crossed = np.flatnonzero(~(v > threshold))
+        if crossed.size:
+            v = v[:crossed[0] + 1]
+        self.v_out = float(v[-1])
+        return Waveform(np.concatenate(([v0], v)), dt, name="integrator")
 
     def fall_time(self, v_step: float, dt: float = 1e-6) -> float:
         """The complete test-mode measurement: precharge, couple the

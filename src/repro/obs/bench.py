@@ -312,7 +312,8 @@ SUITES: Dict[str, Dict[str, Callable[[], Any]]] = {
         "divider_campaign": _divider_campaign,
     },
     # the paper's evaluation section (mirrors benchmarks/bench_e*.py);
-    # select a subset with --ids (E5 alone is ~20 s per round).
+    # select a subset with --ids (E5 takes ~0.2 s per round on a
+    # 2-vCPU x86-64 host).
     "experiments": {
         eid: _experiment(eid)
         for eid in ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9")

@@ -236,21 +236,22 @@ class Waveform:
             raise ValueError(f"bad direction {direction!r}")
         v = self.values
         t = self.times
-        for i in range(1, len(v)):
-            if t[i] < after:
-                continue
-            falling = v[i - 1] > threshold >= v[i]
-            rising = v[i - 1] < threshold <= v[i]
-            hit = (direction == "falling" and falling) or \
-                  (direction == "rising" and rising) or \
-                  (direction == "either" and (falling or rising))
-            if hit:
-                dv = v[i] - v[i - 1]
-                if dv == 0.0:
-                    return float(t[i])
-                frac = (threshold - v[i - 1]) / dv
-                return float(t[i - 1] + frac * self.dt)
-        return None
+        prev, cur = v[:-1], v[1:]
+        hit = np.zeros(len(cur), dtype=bool)
+        if direction != "rising":
+            hit |= (prev > threshold) & (threshold >= cur)
+        if direction != "falling":
+            hit |= (prev < threshold) & (threshold <= cur)
+        hit &= ~(t[1:] < after)
+        first = np.flatnonzero(hit)
+        if first.size == 0:
+            return None
+        i = int(first[0]) + 1
+        dv = v[i] - v[i - 1]
+        if dv == 0.0:
+            return float(t[i])
+        frac = (threshold - v[i - 1]) / dv
+        return float(t[i - 1] + frac * self.dt)
 
     def settle_time(self, final_value: Optional[float] = None,
                     tolerance: float = 0.01) -> Optional[float]:
