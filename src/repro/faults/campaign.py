@@ -42,7 +42,7 @@ from repro.faults.injector import inject
 from repro.faults.model import Fault
 from repro.obs.core import OBS, event, observe
 from repro.obs.core import span as obs_span
-from repro.obs.health import ProgressTracker
+from repro.obs.health import CampaignProgress, ProgressTracker
 from repro.obs.trace import Span, TraceContext, stamp_pids
 from repro.resilience.checkpoint import CampaignCheckpoint
 from repro.resilience.deadline import Deadline, deadline_scope, installed
@@ -306,6 +306,54 @@ def _span_ref(trace_ctx: Optional[TraceContext], name: str) -> str:
     return f"{trace_ctx.trace_id}:{path}"
 
 
+def _observed(evaluate: Callable[[], Any],
+              trace_ctx: Optional[TraceContext], name: str,
+              **attrs: Any) -> tuple:
+    """Run ``evaluate()`` inside one ``name`` span of an isolated
+    observation scope adopted into ``trace_ctx``.
+
+    Returns its value and the ship-back fields (``metrics``, ``events``,
+    ``spans`` and the ``span`` reference) that carry the scope's data
+    home on a :class:`FaultOutcome` — identically in-process and in a
+    pool worker, which is what makes the *metrics* of ``workers=N``
+    identical to ``workers=1`` too.  The parent grafts the span forest
+    under the campaign/job span.
+    """
+    with observe() as handle:
+        tracer = handle.tracer.adopt(trace_ctx)
+        if trace_ctx is not None:
+            attrs.update(trace_ctx.attrs())
+        with tracer.span(name, **attrs):
+            value = evaluate()
+    stamp_pids(tracer.spans, os.getpid())
+    return value, {"metrics": handle.metrics.to_dict(),
+                   "events": handle.events.records(),
+                   "spans": tracer.spans,
+                   "span": _span_ref(trace_ctx, name)}
+
+
+def _verdict(fault: Fault, measure: Callable[[], Any],
+             detector: Callable[[Any, Any], float], threshold: float,
+             on_error: str, reference: Any) -> FaultOutcome:
+    """Score ``measure()`` against the reference, clamped to [0, 1]; a
+    measurement or detector that raises becomes an error outcome under
+    the ``on_error`` policy.  A :class:`DeadlineExceeded` is left to the
+    caller, whose deadline it is."""
+    try:
+        measurement = measure()
+        score = min(1.0, max(0.0, float(detector(reference, measurement))))
+    except DeadlineExceeded:
+        raise
+    except Exception as exc:  # noqa: BLE001 - campaign must continue
+        as_detected = on_error == _ERROR_DETECTED
+        return FaultOutcome(fault=fault,
+                            detection=1.0 if as_detected else 0.0,
+                            detected=as_detected,
+                            error=f"{type(exc).__name__}: {exc}")
+    return FaultOutcome(fault=fault, detection=score,
+                        detected=score >= threshold, measurement=measurement)
+
+
 def _evaluate_fault(technique: Callable[[Any], Any],
                     detector: Callable[[Any, Any], float],
                     threshold: float,
@@ -320,32 +368,20 @@ def _evaluate_fault(technique: Callable[[Any], Any],
     Module-level (not a method) so a process pool can pickle it; the
     serial path calls the very same function, which is what makes
     ``workers=N`` results fault-for-fault identical to ``workers=1``.
-    When ``collect_obs`` is set the evaluation runs inside an isolated
-    observation scope and the metrics snapshot rides back on the
-    outcome — identically in-process and in a worker, which is what
-    makes the *metrics* identical too.  The span forest recorded under
-    the adopted ``trace_ctx`` rides back the same way (``spans``), for
-    the parent to graft under the campaign span.  The per-fault
-    deadline is likewise installed here, so cooperative cancellation
+    When ``collect_obs`` is set the evaluation runs under
+    :func:`_observed`, whose fields ride back on the outcome.  The
+    per-fault deadline is installed here, so cooperative cancellation
     works the same serially and inside a worker.
     """
-    if collect_obs:
-        with observe() as handle:
-            tracer = handle.tracer.adopt(trace_ctx)
-            attrs = trace_ctx.attrs() if trace_ctx is not None else {}
-            with tracer.span("fault.evaluate",
-                             fault=fault.describe(), **attrs):
-                outcome = _evaluate_fault_plain(
-                    technique, detector, threshold, on_error,
-                    fault_timeout_s, target, reference, fault)
-        stamp_pids(tracer.spans, os.getpid())
-        outcome.metrics = handle.metrics.to_dict()
-        outcome.events = handle.events.records()
-        outcome.spans = tracer.spans
-        outcome.span = _span_ref(trace_ctx, "fault.evaluate")
-        return outcome
-    return _evaluate_fault_plain(technique, detector, threshold, on_error,
-                                 fault_timeout_s, target, reference, fault)
+    evaluate = functools.partial(_evaluate_fault_plain, technique, detector,
+                                 threshold, on_error, fault_timeout_s,
+                                 target, reference, fault)
+    if not collect_obs:
+        return evaluate()
+    outcome, shipped = _observed(evaluate, trace_ctx, "fault.evaluate",
+                                 fault=fault.describe())
+    vars(outcome).update(shipped)
+    return outcome
 
 
 def _evaluate_fault_plain(technique, detector, threshold, on_error,
@@ -354,16 +390,8 @@ def _evaluate_fault_plain(technique, detector, threshold, on_error,
     t0 = time.perf_counter()
     with deadline_scope(fault_timeout_s, label="fault") as dl:
         try:
-            faulty = inject(target, fault)
-            measurement = technique(faulty)
-            score = float(detector(reference, measurement))
-            score = min(1.0, max(0.0, score))
-            outcome = FaultOutcome(
-                fault=fault,
-                detection=score,
-                detected=score >= threshold,
-                measurement=measurement,
-            )
+            outcome = _verdict(fault, lambda: technique(inject(target, fault)),
+                               detector, threshold, on_error, reference)
         except DeadlineExceeded as exc:
             if dl is not None and exc.deadline is dl and dl.label == "fault":
                 # this fault's own budget ran out: a structured verdict,
@@ -374,14 +402,6 @@ def _evaluate_fault_plain(technique, detector, threshold, on_error,
                 # an enclosing (campaign) deadline fired — not ours to
                 # absorb
                 raise
-        except Exception as exc:  # noqa: BLE001 - campaign must continue
-            as_detected = on_error == _ERROR_DETECTED
-            outcome = FaultOutcome(
-                fault=fault,
-                detection=1.0 if as_detected else 0.0,
-                detected=as_detected,
-                error=f"{type(exc).__name__}: {exc}",
-            )
     outcome.elapsed_s = time.perf_counter() - t0
     outcome.worker_pid = os.getpid()
     return outcome
@@ -404,31 +424,22 @@ def _evaluate_fault_batch(technique, detector, threshold, on_error,
     then every member gets its own serial-identical evaluation).
 
     Module-level for the same pickling reason as :func:`_evaluate_fault`.
-    When ``collect_obs`` is set the chunk's metrics snapshot rides back
-    on the first batch-produced outcome (fallback outcomes carry their
-    own isolated snapshots, exactly as in a serial run).
+    When ``collect_obs`` is set the chunk's shipped fields ride back on
+    the first batch-produced outcome (fallback outcomes carry their own
+    isolated snapshots, exactly as in a serial run).
     """
-    if collect_obs:
-        with observe() as handle:
-            tracer = handle.tracer.adopt(trace_ctx)
-            attrs = trace_ctx.attrs() if trace_ctx is not None else {}
-            with tracer.span("fault.batch", n_faults=len(faults), **attrs):
-                outcomes, batch_slots = _evaluate_batch_plain(
-                    technique, detector, threshold, on_error, collect_obs,
-                    fault_timeout_s, target, reference, trace_ctx, faults)
-        stamp_pids(tracer.spans, os.getpid())
-        if batch_slots:
-            first = outcomes[batch_slots[0]]
-            first.metrics = handle.metrics.to_dict()
-            first.events = handle.events.records()
-            first.spans = tracer.spans
-        ref = _span_ref(trace_ctx, "fault.batch")
-        for i in batch_slots:
-            outcomes[i].span = ref
-        return outcomes
-    outcomes, _ = _evaluate_batch_plain(
-        technique, detector, threshold, on_error, collect_obs,
-        fault_timeout_s, target, reference, trace_ctx, faults)
+    evaluate = functools.partial(_evaluate_batch_plain, technique, detector,
+                                 threshold, on_error, collect_obs,
+                                 fault_timeout_s, target, reference,
+                                 trace_ctx, faults)
+    if not collect_obs:
+        return evaluate()[0]
+    (outcomes, batch_slots), shipped = _observed(
+        evaluate, trace_ctx, "fault.batch", n_faults=len(faults))
+    for i in batch_slots:
+        outcomes[i].span = shipped["span"]
+    if batch_slots:
+        vars(outcomes[batch_slots[0]]).update(shipped)
     return outcomes
 
 
@@ -469,23 +480,8 @@ def _evaluate_batch_plain(technique, detector, threshold, on_error,
                 technique, detector, threshold, on_error, collect_obs,
                 fault_timeout_s, target, reference, trace_ctx, fault))
             continue
-        try:
-            score = float(detector(reference, meas))
-            score = min(1.0, max(0.0, score))
-            outcome = FaultOutcome(
-                fault=fault,
-                detection=score,
-                detected=score >= threshold,
-                measurement=meas,
-            )
-        except Exception as exc:  # noqa: BLE001 - mirror the serial policy
-            as_detected = on_error == _ERROR_DETECTED
-            outcome = FaultOutcome(
-                fault=fault,
-                detection=1.0 if as_detected else 0.0,
-                detected=as_detected,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+        outcome = _verdict(fault, lambda: meas, detector, threshold,
+                           on_error, reference)
         outcome.elapsed_s = share
         outcome.worker_pid = os.getpid()
         batch_slots.append(len(outcomes))
@@ -542,8 +538,9 @@ def _evaluate_shard(evaluate, faults: List[Fault]) -> List[FaultOutcome]:
     return [evaluate(f) for f in faults]
 
 
-def _call_reference(technique, target) -> Any:
-    return technique(target)
+def _job_name(spec: CampaignSpec) -> str:
+    return spec.name or getattr(spec.target, "name",
+                                type(spec.target).__name__)
 
 
 @dataclass
@@ -568,9 +565,11 @@ class _JobRun:
     :class:`~repro.service.scheduler.CampaignScheduler` stages every
     submitted job the same way.  Staging restores the checkpoint,
     replays the result cache and runs the surrogate prescreen; the
-    faults left over become shards.  Outcomes are recorded strictly in
-    fault order, so progress callbacks, heartbeats and checkpoints see
-    the serial sequence on every route.
+    faults left over become shards.  The job alone decides their route
+    (:meth:`build_shards`), tracks progress and finalizes the result,
+    ledger row included (:meth:`finish`).  Outcomes are recorded
+    strictly in fault order, so progress callbacks, heartbeats and
+    checkpoints see the serial sequence on every route.
     """
 
     def __init__(self, spec: CampaignSpec, cache: Optional[Any] = None, *,
@@ -611,8 +610,7 @@ class _JobRun:
                 # other's entries (the surrogate's score is not the
                 # transient's)
                 self.surrogate_key = spec.surrogate_context_key()
-        self.last_progress: Any = None
-        self.tracker = ProgressTracker(self.total, callback=self._progress,
+        self.tracker = ProgressTracker(self.total, callback=spec.progress,
                                        heartbeat_every=spec.heartbeat_every,
                                        label=label)
         self.deadline = (Deadline(spec.campaign_deadline_s, label="campaign")
@@ -624,19 +622,20 @@ class _JobRun:
                                            every=spec.checkpoint_every)
         #: ``(t_start, n_in, n_escalated)`` of the prescreen pass, if any
         self.prescreened: Optional[tuple] = None
-        # scheduler-side state: the job handle, admission seq, whether
-        # shards go to the process pool (else threads), the detached
-        # ``service.job`` span
+        #: whether shards go to a process pool (else threads or the
+        #: caller's thread): decided by :meth:`build_shards`; until then
+        #: a scheduler's reference shard tries the pool
+        self.pooled = True
+        # scheduler-side state: the job handle, admission seq, the
+        # detached ``service.job`` span
         self.job: Any = None
         self.seq = 0
-        self.pooled = True
         self.job_span: Optional[Span] = None
         self.t0 = time.perf_counter()
 
     @property
     def name(self) -> str:
-        return self.spec.name or getattr(self.spec.target, "name",
-                                         type(self.spec.target).__name__)
+        return _job_name(self.spec)
 
     @property
     def share(self) -> float:
@@ -644,10 +643,9 @@ class _JobRun:
         ordering key; cached/restored faults count as dispatched)."""
         return self.dispatched / self.total if self.total else 1.0
 
-    def _progress(self, progress: Any) -> None:
-        self.last_progress = progress
-        if self.spec.progress is not None:
-            self.spec.progress(progress)
+    @property
+    def last_progress(self) -> CampaignProgress:
+        return self.tracker.last
 
     # -- staging -------------------------------------------------------
     def stage(self) -> None:
@@ -711,10 +709,16 @@ class _JobRun:
         self.prescreened = (t0, len(pending), len(escalated))
         return escalated
 
-    def build_shards(self, shard_size: int) -> None:
+    def build_shards(self, shard_size: int, pool: bool) -> None:
         """Bind the evaluation partials to the reference and chunk the
         pending faults: ``batch_size`` per shard when the technique has
-        a batched path (``evaluate_batch``), ``shard_size`` otherwise."""
+        a batched path (``evaluate_batch``), ``shard_size`` otherwise.
+
+        Then decide the route, once: the shards go to a process pool
+        only when one can be used (``pool``) and the very call it would
+        pickle — reference included — does pickle, so a measurement
+        that cannot cross a process boundary keeps the job in-process.
+        Without a pool nothing is pickled."""
         spec = self.spec
         args = (spec.technique, spec.detector, spec.threshold,
                 spec.on_error, self.collect_obs, spec.fault_timeout_s,
@@ -730,12 +734,18 @@ class _JobRun:
         for start in range(0, len(pending), width):
             self.ready.append(_Shard("faults", pending[start:start + width],
                                      batched=batched))
+        self.pooled = False
+        if pool:
+            try:
+                pickle.dumps((self.evaluate, self.fault_list))
+                self.pooled = True
+            except Exception:  # noqa: BLE001 - any failure means in-process
+                pass
 
     def shard_call(self, shard: _Shard) -> Callable[[], Any]:
         """The picklable zero-argument call that evaluates ``shard``."""
         if shard.kind == "ref":
-            return functools.partial(_call_reference, self.spec.technique,
-                                     self.spec.target)
+            return functools.partial(self.spec.technique, self.spec.target)
         faults = [self.fault_list[i] for i in shard.indices]
         if shard.batched:
             return functools.partial(self.evaluate_batch, faults)
@@ -875,6 +885,8 @@ class _JobRun:
 
     # -- completion ----------------------------------------------------
     def finish(self, workers: int) -> CampaignResult:
+        """Settle the job into its :class:`CampaignResult` and append its
+        ledger row."""
         # outcomes that landed behind a fault the deadline cut off are
         # still genuine verdicts: keep them, in fault order
         for idx in sorted(self.buffered):
@@ -901,6 +913,20 @@ class _JobRun:
         result.elapsed_s = time.perf_counter() - self.t0
         if self.cache is not None:
             result.cache_stats = self.cache.stats.delta(self.cache_stats0)
+        # a service job reports to the ledger its submitter had in scope
+        ledger = getattr(self.job, "ledger", None)
+        if ledger is None:
+            ledger = OBS.ledger
+        if ledger is not None:
+            # history is best-effort persistence: a full disk or a
+            # read-only path must never fail the campaign itself
+            try:
+                ledger.record_campaign(result, key=self.spec.content_key(),
+                                       name=self.name,
+                                       prescreen=self.spec.prescreen,
+                                       job=self.tags.get("job"))
+            except Exception:  # noqa: BLE001
+                pass
         return result
 
 
@@ -972,9 +998,9 @@ class FaultCampaign:
         it out over a process pool one fault per shard.  Faults are
         independent, so this is embarrassingly parallel; results come
         back in fault order regardless of completion order.  Requires
-        the technique, detector, target and faults to be picklable — if
-        they are not, the campaign warns and falls back to serial
-        evaluation.
+        the technique, detector, target, faults and fault-free
+        measurement to be picklable — if they are not, the campaign
+        warns and falls back to serial evaluation.
     batch_size:
         Faults marched per batched-engine call.  ``1`` (default) uses
         the per-fault path.  ``K > 1`` chunks the universe and hands
@@ -1099,9 +1125,7 @@ class FaultCampaign:
                               workers=self.workers,
                               batch_size=self.batch_size)
         cache = rspec.cache if rspec.cache is not None else self.cache
-        name = rspec.name or getattr(rspec.target, "name",
-                                     type(rspec.target).__name__)
-        with obs_span("campaign", target=name) as sp:
+        with obs_span("campaign", target=_job_name(rspec)) as sp:
             # the trace context is captured inside the campaign span, so
             # worker-side roots record this exact position as their parent
             job = _JobRun(rspec, cache, trace_ctx=TraceContext.capture(),
@@ -1114,19 +1138,18 @@ class FaultCampaign:
                     # re-runs without a single simulation, reference
                     # included
                     job.reference = self.technique(rspec.target)
-                job.build_shards(1)
-                if n_workers > 1 and not _picklable(job.evaluate,
-                                                    job.fault_list):
+                job.build_shards(1, pool=n_workers > 1)
+                if n_workers > 1 and not job.pooled:
                     warnings.warn(
-                        "fault campaign: technique/detector/target/faults "
-                        "are not picklable; falling back to serial "
+                        "fault campaign: technique/detector/target/faults/"
+                        "reference are not picklable; falling back to serial "
                         "evaluation",
                         RuntimeWarning, stacklevel=2)
                     if OBS.enabled:
                         OBS.metrics.counter(
                             "campaign.pickle_fallbacks").inc()
                     n_workers = 1
-                if n_workers > 1:
+                if job.pooled:
                     from repro.service.scheduler import CampaignScheduler
                     CampaignScheduler(workers=n_workers, shard_size=1,
                                       name="campaign")._drive(job)
@@ -1137,23 +1160,4 @@ class FaultCampaign:
                 _merge_obs(result, sp)
         if OBS.enabled:
             result.trace = sp
-        ledger = OBS.ledger
-        if ledger is not None:
-            # history is best-effort persistence: a full disk or a
-            # read-only path must never fail the campaign itself
-            try:
-                ledger.record_campaign(result, key=rspec.content_key(),
-                                       name=name,
-                                       prescreen=rspec.prescreen)
-            except Exception:  # noqa: BLE001
-                pass
         return result
-
-
-def _picklable(evaluate, fault_list) -> bool:
-    try:
-        pickle.dumps(evaluate)
-        pickle.dumps(fault_list)
-    except Exception:  # noqa: BLE001 - any pickle failure means in-process
-        return False
-    return True

@@ -18,8 +18,9 @@ The pieces:
   Prometheus text exposition and a JSONL flat-event stream.
 * :mod:`repro.obs.profile` — :func:`aggregate` folds a span forest
   into per-path self/total wall+CPU attribution with a hotspot table.
-* :mod:`repro.obs.health`  — campaign progress callbacks, ETA,
-  heartbeats and straggler detection.
+* :mod:`repro.obs.health`  — the one campaign progress record (ETA,
+  rate, callbacks, heartbeats) every route and the service dashboard
+  share, plus post-hoc straggler detection.
 * :mod:`repro.obs.bench`   — the benchmark-telemetry pipeline behind
   ``python -m repro.obs bench`` / ``compare``.
 

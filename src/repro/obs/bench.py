@@ -31,11 +31,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.core import observe
-
-#: counter prefixes persisted into BENCH_*.json (the telemetry half).
-KEY_COUNTER_PREFIXES = ("solver.", "transient.", "mna.", "fastpath.",
-                        "campaign.", "experiments.", "bist.", "batched.",
-                        "surrogate.", "cache.", "service.")
+from repro.obs.ledger import KEY_COUNTER_PREFIXES, runtime_meta
 
 #: file schema tag (bump on incompatible layout changes).
 SCHEMA = "repro.bench/1"
@@ -433,8 +429,6 @@ def run_suite(suite: str = "sim", ids: Optional[List[str]] = None,
             print(f"  median {rec['median_s'] * 1e3:.2f} ms  "
                   f"iqr {rec['iqr_s'] * 1e3:.2f} ms  "
                   f"({len(rec['counters'])} counters)")
-    # lazy import: ledger pulls KEY_COUNTER_PREFIXES from this module
-    from repro.obs.ledger import runtime_meta
     doc = {
         "schema": SCHEMA,
         "suite": suite,

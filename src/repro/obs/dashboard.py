@@ -21,13 +21,13 @@ import os
 import sys
 import tempfile
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 #: status file schema tag.
 STATUS_SCHEMA = "repro.service-status/1"
 
-#: a fault is flagged as a straggler when its in-flight wall clock
-#: exceeds this multiple of the job's mean per-fault time.
+#: a job is flagged with a straggler when the wall clock of its last
+#: completed fault exceeds this multiple of its mean per-fault time.
 STRAGGLER_FACTOR = 4.0
 
 
@@ -38,31 +38,20 @@ STRAGGLER_FACTOR = 4.0
 def status_snapshot(scheduler: Any) -> Dict[str, Any]:
     """One JSON-able view of a scheduler's in-flight state.
 
-    Reads only thread-safe state (list copies, immutable snapshots), so
-    it may be called from any thread while the dispatcher runs.
+    Reads only thread-safe state (list copies, immutable progress
+    records), so it may be called from any thread while the dispatcher
+    runs.
     """
-    jobs: List[Dict[str, Any]] = []
-    queued = 0
-    for jr in list(getattr(scheduler, "_active", ())):
-        queued += len(getattr(jr, "ready", ()))
-        progress = getattr(jr, "last_progress", None)
-        if progress is not None:
-            jobs.append(progress.to_dict())
-        else:
-            job = getattr(jr, "job", None)
-            jobs.append({"job": getattr(job, "id", "?"), "done": 0,
-                         "total": len(getattr(jr, "fault_list", ()) or ()),
-                         "fraction": 0.0, "elapsed_s": 0.0, "eta_s": 0.0,
-                         "rate_per_s": 0.0, "fault": "",
-                         "fault_elapsed_s": 0.0, "worker_pid": None})
-    cache = getattr(scheduler, "cache", None)
+    active = list(scheduler._active)
+    jobs = [jr.last_progress.to_dict() for jr in active]
+    cache = scheduler.cache
     return {
         "schema": STATUS_SCHEMA,
         "wall": time.time(),
-        "scheduler": getattr(scheduler, "name", "service"),
-        "workers": getattr(scheduler, "workers", 0),
+        "scheduler": scheduler.name,
+        "workers": scheduler.workers,
         "jobs_active": len(jobs),
-        "shards_queued": queued,
+        "shards_queued": sum(len(jr.ready) for jr in active),
         "jobs": jobs,
         "cache": cache.stats.to_dict() if cache is not None else None,
     }
@@ -114,8 +103,8 @@ def _job_line(job: Dict[str, Any]) -> str:
     line = (f"{job.get('job') or 'campaign':<24} {_bar(fraction)} "
             f"{done}/{total} ({100.0 * fraction:3.0f}%) "
             f"eta {eta:6.1f}s  {rate:6.2f} faults/s")
-    # straggler flag: the fault in flight has been running much longer
-    # than this job's average completion time
+    # straggler flag: the job's last completed fault took much longer
+    # than its average completion time
     fault_elapsed = job.get("fault_elapsed_s") or 0.0
     if rate > 0 and fault_elapsed > STRAGGLER_FACTOR / rate:
         pid = job.get("worker_pid")

@@ -8,12 +8,13 @@ module supplies:
 * :class:`CampaignProgress` — the record a campaign's ``progress``
   callback receives after every completed fault: done/total, elapsed,
   smoothed ETA, completion rate and the completing worker's pid.
-* :class:`ProgressTracker` — the driver used inside
-  :meth:`repro.faults.campaign.FaultCampaign.run`.  It is fed
-  completed outcomes *in fault order* in both the serial and the
-  process-pool path, so callbacks and heartbeat events fire with
-  identical (done, total) sequences regardless of ``workers`` — the
-  same serial==workers parity the metrics layer pins.
+* :class:`ProgressTracker` — the one progress record of a campaign
+  job (:class:`repro.faults.campaign._JobRun`), whichever entry point
+  runs it; the service's health gauges and dashboard read its latest
+  record.  It is fed completed outcomes *in fault order* on every
+  route, so callbacks and heartbeat events fire with identical (done,
+  total) sequences regardless of ``workers`` — the same
+  serial==workers parity the metrics layer pins.
 * :func:`straggler_report` — post-hoc health analysis of a
   :class:`~repro.faults.campaign.CampaignResult`: per-worker wall-time
   aggregation (outcomes carry the evaluating pid) plus slow-fault and
@@ -89,6 +90,10 @@ class ProgressTracker:
         self.label = label
         self.done = 0
         self._t0 = time.perf_counter()
+        #: the latest progress record: a zero one, seeded without a
+        #: callback or heartbeat, until the first fault completes
+        self.last = CampaignProgress(done=0, total=total, elapsed_s=0.0,
+                                     eta_s=0.0, rate_per_s=0.0, job=label)
 
     def update(self, outcome: Any) -> CampaignProgress:
         """Record one completed fault; fire callback + heartbeat."""
@@ -104,6 +109,7 @@ class ProgressTracker:
             fault_elapsed_s=outcome.elapsed_s,
             worker_pid=getattr(outcome, "worker_pid", None),
             job=self.label)
+        self.last = progress
         if OBS.enabled and self.done % self.heartbeat_every == 0:
             OBS.metrics.counter("campaign.heartbeats").inc()
             OBS.metrics.gauge("campaign.eta_s").set(eta)
@@ -116,41 +122,6 @@ class ProgressTracker:
         if self.callback is not None:
             self.callback(progress)
         return progress
-
-
-class ServiceProgress:
-    """Aggregated progress across a scheduler's concurrent jobs.
-
-    Holds the latest :class:`CampaignProgress` per job id and exposes
-    the service-wide totals; :meth:`repro.service.scheduler.
-    CampaignScheduler.progress` returns one of these."""
-
-    def __init__(self) -> None:
-        self.jobs: Dict[str, CampaignProgress] = {}
-
-    def update(self, progress: CampaignProgress) -> None:
-        self.jobs[progress.job or "campaign"] = progress
-
-    @property
-    def done(self) -> int:
-        return sum(p.done for p in self.jobs.values())
-
-    @property
-    def total(self) -> int:
-        return sum(p.total for p in self.jobs.values())
-
-    @property
-    def fraction(self) -> float:
-        return self.done / self.total if self.total else 1.0
-
-    def describe(self) -> str:
-        if not self.jobs:
-            return "service idle"
-        lines = [f"service {self.done}/{self.total} "
-                 f"({100.0 * self.fraction:.0f}%) across "
-                 f"{len(self.jobs)} job(s)"]
-        lines.extend(p.describe() for _, p in sorted(self.jobs.items()))
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,11 @@ import threading
 import time
 from typing import Any, Dict, Iterable, List, Optional
 
-#: counter prefixes summed into each row (same telemetry set as bench).
-from repro.obs.bench import KEY_COUNTER_PREFIXES
+#: counter prefixes summed into each ledger row and persisted into
+#: BENCH_*.json (the telemetry half of both records).
+KEY_COUNTER_PREFIXES = ("solver.", "transient.", "mna.", "fastpath.",
+                        "campaign.", "experiments.", "bist.", "batched.",
+                        "surrogate.", "cache.", "service.")
 
 #: row schema tag (bump on incompatible layout changes).
 LEDGER_SCHEMA = "repro.run-ledger/1"

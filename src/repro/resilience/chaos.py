@@ -17,9 +17,10 @@ the failures a production service eventually meets.
 * :func:`corrupt_tail` — overwrites the final bytes with garbage, the
   shape a partial page flush leaves behind.
 * :class:`ChaosProcess` — a subprocess driver that runs a python
-  snippet and SIGKILLs it the instant an observable predicate turns
-  true (a journal line landing, a checkpoint appearing), so "killed
-  mid-job" is a precise, repeatable event rather than a sleep race.
+  snippet and SIGKILLs it, with its whole process group, the instant
+  an observable predicate turns true (a journal line landing, a
+  checkpoint appearing), so "killed mid-job" is a precise, repeatable
+  event rather than a sleep race.
 * :func:`wait_for` — bounded predicate polling for the above.
 
 Everything is deterministic or seedable; a failing chaos test replays
@@ -181,7 +182,9 @@ class ChaosProcess:
     caller's environment plus ``PYTHONPATH=src`` inheritance, so it
     sees the same ``repro`` package as the test process.  SIGKILL (not
     SIGTERM) is the whole point: no atexit hooks, no finally blocks —
-    the same death a kernel OOM kill delivers.
+    the same death a kernel OOM kill delivers.  The snippet leads its
+    own process group and the kill goes to the group, so the pool
+    workers it forked die with it instead of lingering as orphans.
     """
 
     def __init__(self, code: str, env: Optional[Dict[str, str]] = None,
@@ -196,23 +199,31 @@ class ChaosProcess:
     def start(self) -> "ChaosProcess":
         self.proc = subprocess.Popen(
             [sys.executable, "-c", self.code], env=self.env, cwd=self.cwd,
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            start_new_session=True)
         return self
+
+    def _kill_group(self) -> None:
+        try:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except ProcessLookupError:  # the whole group is already gone
+            pass
+        self.proc.wait()
 
     def kill_when(self, predicate: Callable[[], bool],
                   timeout: float = 30.0, poll: float = 0.005,
                   what: str = "kill condition") -> None:
-        """SIGKILL the subprocess the moment ``predicate()`` turns true
-        (checked every ``poll`` seconds).  If the process exits first,
-        that is fine — the test asserts on recovery either way."""
+        """SIGKILL the subprocess's process group the moment
+        ``predicate()`` turns true (checked every ``poll`` seconds).  If
+        the process exits first, that is fine — the test asserts on
+        recovery either way."""
         assert self.proc is not None, "start() first"
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             if self.proc.poll() is not None:
                 return
             if predicate():
-                os.kill(self.proc.pid, signal.SIGKILL)
-                self.proc.wait()
+                self._kill_group()
                 return
             time.sleep(poll)
         raise TimeoutError(f"chaos: timed out after {timeout}s waiting "
@@ -238,9 +249,12 @@ class ChaosProcess:
         return self.start()
 
     def __exit__(self, *exc: Any) -> None:
-        if self.proc is not None and self.proc.poll() is None:
-            os.kill(self.proc.pid, signal.SIGKILL)
-            self.proc.wait()
+        if self.proc is None:
+            return
+        if self.proc.returncode is None:
+            # the leader is not reaped yet, so the group id is still
+            # its own: no other process can be hit
+            self._kill_group()
         for stream in (self.proc.stdout, self.proc.stderr):
             if stream is not None:
                 stream.close()

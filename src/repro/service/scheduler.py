@@ -43,9 +43,9 @@ from __future__ import annotations
 
 import concurrent.futures
 import enum
-import functools
 import itertools
 import os
+import pickle
 import re
 import threading
 import time
@@ -58,13 +58,10 @@ from repro.faults.campaign import (
     CampaignResult,
     _JobRun,
     _Shard,
-    _evaluate_fault,
     _merge_obs,
-    _picklable,
 )
 from repro.obs.core import OBS, event
 from repro.obs.core import span as obs_span
-from repro.obs.health import ServiceProgress
 from repro.obs.trace import Span, TraceContext
 from repro.service.cache import ResultCache
 from repro.service.queue import JobRecord, PersistentJobQueue
@@ -74,6 +71,10 @@ from repro.service.spec import CampaignSpec
 #: to amortise dispatch, small enough that fair-share interleaving is
 #: visible between concurrent jobs.
 DEFAULT_SHARD_SIZE = 4
+
+#: what pickling an object that cannot cross a process boundary raises
+#: (``Can't pickle local object``, ``cannot pickle '_thread.lock'``).
+_PICKLE_ERRORS = (pickle.PicklingError, AttributeError, TypeError)
 
 
 class JobState(enum.Enum):
@@ -159,8 +160,9 @@ class CampaignScheduler:
     ----------
     workers:
         Worker processes shared by all jobs (default: CPU count - 1,
-        at least 1, at most 8).  Jobs whose technique/detector/target
-        cannot pickle run on a thread pool of the same width instead.
+        at least 1, at most 8).  Jobs whose technique, detector,
+        target, faults or fault-free measurement cannot pickle run on a
+        thread pool of the same width instead.
     cache:
         Default :class:`~repro.service.cache.ResultCache` consulted for
         every job that does not bring its own (``spec.cache`` wins).
@@ -346,15 +348,6 @@ class CampaignScheduler:
             jobs = tuple(self._jobs)
         return [job.result(timeout) for job in jobs]
 
-    def progress(self) -> ServiceProgress:
-        """Latest per-job progress snapshot (thread-safe reads of
-        immutable records)."""
-        snap = ServiceProgress()
-        for jr in list(self._active):
-            if jr.last_progress is not None:
-                snap.update(jr.last_progress)
-        return snap
-
     def close(self, wait: bool = True) -> None:
         """Stop accepting jobs; with ``wait`` (default) block until
         everything already submitted has finished, then tear down the
@@ -526,13 +519,8 @@ class CampaignScheduler:
             job_span.children.append(node)
         if not jr.emit_queue:
             return jr
-        probe = functools.partial(
-            _evaluate_fault, spec.technique, spec.detector, spec.threshold,
-            spec.on_error, collect_obs, spec.fault_timeout_s, spec.target,
-            None, trace_ctx)
-        jr.pooled = _picklable(probe, jr.fault_list)
         if jr.reference is not None:
-            jr.build_shards(self.shard_size)
+            jr.build_shards(self.shard_size, pool=True)
         else:
             # the fault-free reference is itself one dispatched unit,
             # so a slow reference never stalls other jobs' shards
@@ -677,6 +665,14 @@ class CampaignScheduler:
                 continue
             except Exception as exc:  # noqa: BLE001 - fails this job only
                 self._close_shard_span(jr, shard, failed="exception")
+                if (shard.kind == "ref" and jr.pooled and self._live(jr)
+                        and isinstance(exc, _PICKLE_ERRORS)):
+                    # a technique, target or measurement that does not
+                    # pickle: compute the reference on the thread pool
+                    # (a technique that itself raised fails the job there)
+                    jr.pooled = False
+                    jr.requeue(shard)
+                    continue
                 self._fail_job(jr, exc)
                 continue
             self._land(jr, shard, payload)
@@ -703,7 +699,7 @@ class CampaignScheduler:
             return  # cancelled, failed or past its deadline: discarded
         if shard.kind == "ref":
             jr.reference = payload
-            jr.build_shards(self.shard_size)
+            jr.build_shards(self.shard_size, pool=True)
         else:
             jr.land(shard.indices, payload)
 
@@ -836,17 +832,6 @@ class CampaignScheduler:
         if not jr.job.done():
             jr.job._future.set_result(result)
         self._mark_queue(jr.job, "done")
-        ledger = jr.job.ledger if jr.job.ledger is not None else OBS.ledger
-        if ledger is not None:
-            # persistence is best-effort: a full disk must not fail a
-            # job that already computed its result
-            try:
-                ledger.record_campaign(result, key=jr.spec.content_key(),
-                                       name=result.target_name,
-                                       prescreen=jr.spec.prescreen,
-                                       job=jr.job.id)
-            except Exception:  # noqa: BLE001
-                pass
         self._publish_status(force=True)
 
     def _report_health(self) -> None:
@@ -863,11 +848,10 @@ class CampaignScheduler:
             OBS.metrics.gauge("service.journal_depth").set(
                 self.queue.depth())
         for jr in list(self._active):
-            if jr.last_progress is not None:
-                # job ids flow into the metric name: the Prometheus
-                # exporter sanitises them to the 0.0.4 charset
-                OBS.metrics.gauge(f"service.job.{jr.job.id}.progress").set(
-                    jr.last_progress.fraction)
+            # job ids flow into the metric name: the Prometheus exporter
+            # sanitises them to the 0.0.4 charset
+            OBS.metrics.gauge(f"service.job.{jr.job.id}.progress").set(
+                jr.last_progress.fraction)
 
     def _publish_status(self, force: bool = False) -> None:
         """Atomically refresh the dashboard status file (throttled;

@@ -557,6 +557,23 @@ def _mid_campaign(workdir) -> bool:
             and _cache_entries(workdir) >= 1)
 
 
+def _live_group(pgid):
+    """Pids of the live (non-zombie) members of process group ``pgid``."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as fh:
+                stat = fh.read()
+        except OSError:              # exited while we scanned
+            continue
+        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            pids.append(int(entry))
+    return pids
+
+
 @pytest.mark.chaos
 class TestChaosRestart:
     @pytest.mark.parametrize("workers", [1, 2],
@@ -578,6 +595,24 @@ class TestChaosRestart:
         for name in golden:
             assert normalize(results[name]) == normalize(golden[name]), \
                 f"{name} diverged after restart"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="reads process groups from /proc")
+    def test_sigkill_leaves_no_orphaned_pool_workers(self, tmp_path):
+        """The kill takes the service's forked pool workers down with it:
+        no member of its process group outlives it."""
+        seen = []
+
+        def mid_campaign_with_workers():
+            seen[:] = _live_group(proc.proc.pid)
+            return _mid_campaign(tmp_path) and len(seen) > 1
+
+        with _driver(tmp_path, submit=True, workers=2) as proc:
+            proc.kill_when(mid_campaign_with_workers,
+                           what="mid-campaign window with pool workers")
+            assert proc.was_killed()
+            wait_for(lambda: not _live_group(proc.proc.pid), timeout=10.0,
+                     what=f"process group {seen} to die")
 
     def test_torn_journal_after_kill_still_recovers(self, tmp_path):
         golden = golden_results(str(tmp_path))

@@ -25,6 +25,8 @@ from repro import CampaignScheduler, CampaignSpec, ResultCache, Session
 from repro.errors import CampaignError
 from repro.faults.campaign import FaultCampaign, FaultOutcome
 from repro.faults.model import StuckAtFault
+from repro.obs.core import OBS
+from repro.obs.ledger import RunLedger
 from repro.service.cache import CACHE_SCHEMA, fault_key
 from repro.session import RunResult
 from repro.spice import Circuit, dc_operating_point
@@ -82,6 +84,17 @@ def _normalized(result):
     doc.pop("workers")
     doc["outcomes"] = [dict(o, elapsed_s=0.0) for o in doc["outcomes"]]
     return doc
+
+
+def _unpicklable_mid(ckt):
+    """A picklable technique whose measurement cannot cross a process
+    boundary (it carries a local function)."""
+    v = _mid_voltage(ckt)
+    return SimpleNamespace(v=v, unit=lambda: "V")
+
+
+def _unpicklable_shift(ref, m):
+    return _shift_detector(ref.v, m.v)
 
 
 def _spec(**overrides):
@@ -324,6 +337,31 @@ class TestCampaignScheduler:
             got = sched.submit(_spec(technique=closure_technique)).result()
         assert bucket                        # ran in-process
         assert _normalized(got) == _normalized(serial)
+
+    def test_unpicklable_measurement_matches_campaign(self, tmp_path):
+        # the route is decided from the call the pool would pickle,
+        # reference included: both entry points keep this job in-process
+        # and record the same ledger row
+        spec = _spec(technique=_unpicklable_mid, detector=_unpicklable_shift)
+        ledger = RunLedger(str(tmp_path / "ledger.jsonl"))
+        saved, OBS.ledger = OBS.ledger, ledger
+        try:
+            with pytest.warns(RuntimeWarning, match="not picklable"):
+                offline = FaultCampaign(_unpicklable_mid, _unpicklable_shift,
+                                        threshold=0.5,
+                                        workers=2).run(spec=spec)
+            with CampaignScheduler(workers=2) as sched:
+                served = sched.submit(spec).result()
+        finally:
+            OBS.ledger = saved
+        assert _normalized(served) == _normalized(offline)
+        assert offline.n_faults == 4 and offline.n_errors == 0
+        fields = ("key", "name", "n_faults", "coverage", "partial",
+                  "verdicts", "prescreen", "escalation_rate")
+        row_offline, row_served = ledger.rows()
+        assert ({f: row_offline[f] for f in fields}
+                == {f: row_served[f] for f in fields})
+        assert row_offline["job"] is None and row_served["job"]
 
     def test_submit_validates(self):
         sched = CampaignScheduler(workers=1)
