@@ -591,6 +591,9 @@ class _JobRun:
         #: have not been cleared since; non-empty means blame is pending
         self.crash_counts: Dict[int, int] = {}
         self.reference: Any = spec.reference
+        #: ship-back fields of a dispatched reference shard (see
+        #: :meth:`land_reference`), merged by :func:`_merge_obs`
+        self.reference_obs: Optional[Dict[str, Any]] = None
         self.evaluate: Optional[Callable[[Fault], FaultOutcome]] = None
         self.evaluate_batch: Optional[Callable[[List[Fault]], Any]] = None
         self.trace_ctx = trace_ctx
@@ -745,7 +748,11 @@ class _JobRun:
     def shard_call(self, shard: _Shard) -> Callable[[], Any]:
         """The picklable zero-argument call that evaluates ``shard``."""
         if shard.kind == "ref":
-            return functools.partial(self.spec.technique, self.spec.target)
+            call = functools.partial(self.spec.technique, self.spec.target)
+            if not self.collect_obs:
+                return call
+            return functools.partial(_observed, call, self.trace_ctx,
+                                     "campaign.reference")
         faults = [self.fault_list[i] for i in shard.indices]
         if shard.batched:
             return functools.partial(self.evaluate_batch, faults)
@@ -770,6 +777,13 @@ class _JobRun:
                         return
                     raise
                 self.land(shard.indices, payload)
+
+    def land_reference(self, payload: Any) -> None:
+        """Take a finished reference shard: its measurement, plus the
+        observations it shipped when ``collect_obs`` is set."""
+        if self.collect_obs:
+            payload, self.reference_obs = payload
+        self.reference = payload
 
     # -- recording -----------------------------------------------------
     def record(self, idx: int, outcome: FaultOutcome,
@@ -930,13 +944,21 @@ class _JobRun:
         return result
 
 
-def _merge_obs(result: CampaignResult, span: Optional[Span]) -> None:
+def _merge_obs(result: CampaignResult, span: Optional[Span],
+               reference_obs: Optional[Dict[str, Any]] = None) -> None:
     """Fold the outcomes' shipped metrics and events into the ambient
     scope, graft their span forests under ``span`` (the campaign or job
     span) and record the campaign-level metrics — identically for every
     route, which is what gives serial, pooled and scheduled runs the
-    same counters."""
+    same counters.  ``reference_obs`` carries a dispatched reference
+    shard's fields (an inline reference recorded into the scope
+    directly)."""
     m = OBS.metrics
+    if reference_obs is not None:
+        m.merge(reference_obs["metrics"])
+        OBS.events.extend(reference_obs["events"])
+        if span is not None:
+            span.children.extend(reference_obs["spans"])
     busy = 0.0
     for o in result.outcomes:
         m.merge(o.metrics)

@@ -135,8 +135,8 @@ class CampaignJob:
             pending, self._pending_obs = self._pending_obs, None
         if pending is None:
             return
-        result, job_span = pending
-        _merge_obs(result, job_span)
+        result, job_span, reference_obs = pending
+        _merge_obs(result, job_span, reference_obs)
         if job_span is not None:
             OBS.tracer.spans.append(job_span)
 
@@ -698,7 +698,7 @@ class CampaignScheduler:
         if jr.job.state is not JobState.RUNNING or jr.failures.deadline_hit:
             return  # cancelled, failed or past its deadline: discarded
         if shard.kind == "ref":
-            jr.reference = payload
+            jr.land_reference(payload)
             jr.build_shards(self.shard_size, pool=True)
         else:
             jr.land(shard.indices, payload)
@@ -819,7 +819,7 @@ class CampaignScheduler:
             jr.job_span.close()
         if jr.collect_obs:
             if OBS.enabled:
-                _merge_obs(result, jr.job_span)
+                _merge_obs(result, jr.job_span, jr.reference_obs)
                 # the finished job span joins the ambient forest as a
                 # root: Session.report()/exports see one connected trace
                 OBS.tracer.spans.append(jr.job_span)
@@ -827,7 +827,8 @@ class CampaignScheduler:
                 # no scope is ambient on the dispatcher right now (the
                 # submitter is between scopes, e.g. in watch()); park
                 # the payload so the gathering thread joins it instead
-                jr.job._pending_obs = (result, jr.job_span)
+                jr.job._pending_obs = (result, jr.job_span,
+                                       jr.reference_obs)
         jr.job.state = JobState.DONE
         if not jr.job.done():
             jr.job._future.set_result(result)

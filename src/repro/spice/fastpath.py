@@ -1,28 +1,33 @@
 """Fast-path machinery for the MNA engine.
 
-Three independent accelerations live here, all exactness-preserving to
-within floating-point reassociation (the equivalence suite pins them to
-the reference engine at 1e-9 V):
+Everything here reproduces the reference engine to within
+floating-point reassociation (the equivalence suite pins it at 1e-9 V):
 
 * :class:`MOSFETGroup` — vectorised square-law evaluation and scatter
-  stamping for every level-1 MOSFET in a circuit.  One set of numpy
-  operations per Newton iteration replaces the per-device Python
-  ``stamp()`` loop; the state-independent gate-capacitance conductances
-  are hoisted into the assembler's cached static matrix.
-* :class:`LinearMarch` — closed-form transient recurrence for fully
-  linear circuits under backward Euler.  The per-step MNA solve
-  ``G x_k = E x_{k-1} + b_src(t_k)`` collapses to
-  ``x_k = A x_{k-1} + sum_s level_s(t_k) * c_s`` with ``A = G^-1 E`` and
-  per-source response columns ``c_s = G^-1 e_s``, i.e. one factorisation
-  for the whole march and a couple of BLAS-2 operations per step.
-* eligibility helpers used by :func:`repro.spice.transient.transient`
-  and :func:`repro.spice.solver.newton_solve` to decide when the fast
-  paths apply and when to fall back to the generic engine.
+  stamping for the level-1 MOSFETs of one circuit (the assembler's
+  Newton stamp) or of K same-size circuits (the batched engine's Newton
+  lockstep).  One set of numpy operations per Newton iteration replaces
+  the per-device Python ``stamp()`` loop; the state-independent
+  gate-capacitance conductances are hoisted into the assembler's cached
+  static matrix.
+* the linear transient march — under backward Euler a fully linear
+  circuit's per-step solve ``G x_k = E x_{k-1} + b_src(t_k)`` has a
+  constant ``G``, so one factorisation serves the whole march.  One
+  companion-entry build (``E``) and one source-column build
+  (``c_s = G^-1 e_s``) feed two recurrences: :class:`LinearMarch`
+  pre-multiplies by a dense ``G^-1``
+  (``x_k = A x_{k-1} + sum_s level_s(t_k) c_s``, one BLAS-2 matvec per
+  step) and :class:`SparseLinearMarch` back-substitutes through a
+  SuperLU factor for large decks.  :func:`count_march` checks and
+  counts every finished march, the batched engine's stacked ones too.
+* :func:`linear_march_supported` — the eligibility test the march core
+  in :mod:`repro.spice.transient` uses to pick the linear route.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import functools
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -266,15 +271,130 @@ def linear_march_supported(circuit, method: str) -> bool:
     return all(type(e) in _MARCH_TYPES for e in circuit.elements)
 
 
+
+
+def _static_matrix(assembler, dt: float, gmin: float) -> np.ndarray:
+    """The march's constant backward-Euler ``G`` (conductances,
+    capacitor ``C/dt`` terms, controlled-source patterns, gmin)."""
+    state = assembler.new_state()
+    state.dt = dt
+    state.method = "be"
+    state.gmin = gmin
+    return assembler.static_matrix(state)
+
+
+def _companion_entries(circuit, dt: float
+                       ) -> Tuple[List[int], List[int], List[float]]:
+    """``(rows, cols, vals)`` of the coupling matrix ``E``.
+
+    A capacitor's companion ``add_current(a, b, -geq * v_prev)``
+    contributes ``+geq*(x[a]-x[b])`` at row a and ``-geq*(x[a]-x[b])``
+    at row b — the usual conductance pattern.  An inductor's branch row
+    j carries ``-(L/dt) * I_prev`` with the current I an MNA unknown — a
+    diagonal entry.  Repeated positions are meant to be summed in order.
+    """
+    rows: List[int] = []
+    cols: List[int] = []
+    vals: List[float] = []
+    for cap in circuit.elements_of_type(Capacitor):
+        a, b = cap._idx
+        geq = cap.capacitance / dt
+        for r, c, sign in ((a, a, 1.0), (b, b, 1.0), (a, b, -1.0), (b, a, -1.0)):
+            if r >= 0 and c >= 0:
+                rows.append(r)
+                cols.append(c)
+                vals.append(sign * geq)
+    for ind in circuit.elements_of_type(Inductor):
+        j = ind.branch_index()
+        rows.append(j)
+        cols.append(j)
+        vals.append(-ind.inductance / dt)
+    return rows, cols, vals
+
+
+def _source_columns(circuit, n: int,
+                    response: Callable[[Tuple[Tuple[int, float], ...]],
+                                       np.ndarray]
+                    ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, object]]]:
+    """Per-source response columns ``c_s = G^-1 e_s``, split into the
+    constant sources' sum and the time-varying ``(c_s, value)`` list.
+
+    ``response(pattern)`` solves for one right-hand side ``e_s`` given
+    as ``((index, sign), ...)``: +1 on a voltage source's branch row, or
+    -1/+1 on the nodes a current source drives from/into.
+    """
+    const = np.zeros(n)
+    tv: List[Tuple[np.ndarray, object]] = []
+    for elem in circuit.elements:
+        if isinstance(elem, VoltageSource):
+            pattern = ((elem.branch_index(), 1.0),)
+        elif isinstance(elem, CurrentSource):
+            a, b = elem._idx
+            pattern = tuple((i, sign) for i, sign in ((a, -1.0), (b, 1.0))
+                            if i >= 0)
+        else:
+            continue
+        col = response(pattern)
+        if isinstance(elem.value, (int, float)):
+            const += float(elem.value) * col
+        else:
+            tv.append((col, elem.value))
+    return const, tv
+
+
+def recur(step: Callable[[np.ndarray, np.ndarray], Any],
+          x_all: np.ndarray, const: np.ndarray,
+          tv: Sequence[Tuple[np.ndarray, object]], times: np.ndarray,
+          label: str) -> None:
+    """Fill ``x_all[1:]`` with ``x_k = step(x_{k-1}) + const +
+    sum_s level_s(t_k) c_s`` from ``x_all[0]``, where ``step(x, out)``
+    writes the coupling term into ``out``.  One loop serves the dense
+    and sparse K = 1 marches and the batched ``(K, n)`` stack, so each
+    grid point adds the same terms in the same order on every route."""
+    x = x_all[0]
+    for k in range(1, len(times)):
+        # Cooperative cancellation: amortised to one clock read per
+        # 256 recurrence steps so the march's hot loop stays hot.
+        if DEADLINE.active is not None and not (k & 0xFF):
+            DEADLINE.active.check(label)
+        row = x_all[k]
+        step(x, row)
+        row += const
+        if tv:
+            t = times[k]
+            for col, value in tv:
+                row += evaluate_source(value, t) * col
+        x = row
+
+
+def count_march(x_all: np.ndarray, sparse: bool = False) -> bool:
+    """Count one finished recurrence march of ``len(x_all) - 1`` steps;
+    ``False`` means it broke down (a non-finite sample) and the caller
+    falls back to the generic engine."""
+    prefix = "fastpath.sparse_march" if sparse else "fastpath.linear_march"
+    if not np.all(np.isfinite(x_all)):
+        if OBS.enabled:
+            OBS.metrics.counter(prefix + "_breakdowns").inc()
+        return False
+    if OBS.enabled:
+        m = OBS.metrics
+        steps = len(x_all) - 1
+        m.counter(prefix + "_runs").inc()
+        m.counter(prefix + "_steps").inc(steps)
+        # Each recurrence step is one application of the march's
+        # single factorisation — the fast path's reuse currency.
+        m.counter("mna.sparse_reuses" if sparse else "mna.lu_reuses").inc(steps)
+    return True
+
+
 class LinearMarch:
     """One-factorisation transient recurrence for linear circuits.
 
     Backward-Euler companion models make each step a solve of
-    ``G x_k = E x_{k-1} + b_src(t_k)`` with constant ``G`` (conductances,
-    capacitor ``C/dt`` terms, controlled-source patterns, gmin) and
-    ``E`` collecting the capacitor companion-current coupling to the
-    previous solution.  Pre-multiplying by ``G^-1`` once turns the march
-    into a matrix-vector recurrence.
+    ``G x_k = E x_{k-1} + b_src(t_k)`` with constant ``G`` and ``E``
+    collecting the capacitor/inductor companion coupling to the previous
+    solution.  Pre-multiplying by ``G^-1`` once turns the march into a
+    matrix-vector recurrence.
 
     Raises :class:`numpy.linalg.LinAlgError` at construction when ``G``
     is singular — callers fall back to the generic engine, which raises
@@ -282,201 +402,87 @@ class LinearMarch:
     engine would.
     """
 
+    _label = "linear march"
+    _sparse = False
+
     def __init__(self, assembler, dt: float, gmin: float) -> None:
-        self.assembler = assembler
-        self.n = assembler.n
-        state = assembler.new_state()
-        state.dt = dt
-        state.method = "be"
-        state.gmin = gmin
-        g_static = assembler.static_matrix(state)
-        g_inv = np.linalg.inv(g_static)
+        n = self.n = assembler.n
+        g_inv = np.linalg.inv(_static_matrix(assembler, dt, gmin))
         if not np.all(np.isfinite(g_inv)):
             raise np.linalg.LinAlgError("singular MNA matrix")
         if OBS.enabled:
             OBS.metrics.counter("mna.lu_factorizations").inc()
-
-        # Capacitor coupling matrix E: add_current(a, b, -geq * v_prev)
-        # contributes +geq*(x[a]-x[b]) at row a and -geq*(x[a]-x[b]) at
-        # row b — the usual conductance pattern.
-        e_mat = np.zeros((self.n, self.n))
-        for cap in assembler.circuit.elements_of_type(Capacitor):
-            a, b = cap._idx
-            geq = cap.capacitance / dt
-            for r, c, sign in ((a, a, 1.0), (b, b, 1.0), (a, b, -1.0), (b, a, -1.0)):
-                if r >= 0 and c >= 0:
-                    e_mat[r, c] += sign * geq
-        # Inductor companion: row j's RHS is -(L/dt) * I_prev, with the
-        # branch current I an MNA unknown — a diagonal E entry.
-        for ind in assembler.circuit.elements_of_type(Inductor):
-            j = ind.branch_index()
-            e_mat[j, j] -= ind.inductance / dt
+        e_mat = np.zeros((n, n))
+        for r, c, val in zip(*_companion_entries(assembler.circuit, dt)):
+            e_mat[r, c] += val
         self._a_mat = g_inv @ e_mat
+        self._step = functools.partial(np.dot, self._a_mat)
 
-        # Per-source response columns: x contribution = level(t) * col.
-        self._const = np.zeros(self.n)
-        self._tv: List[Tuple[np.ndarray, object]] = []
-        for elem in assembler.circuit.elements:
-            if isinstance(elem, VoltageSource):
-                col = g_inv[:, elem.branch_index()].copy()
-            elif isinstance(elem, CurrentSource):
-                a, b = elem._idx
-                col = np.zeros(self.n)
-                if a >= 0:
-                    col -= g_inv[:, a]
-                if b >= 0:
-                    col += g_inv[:, b]
-            else:
-                continue
-            if isinstance(elem.value, (int, float)):
-                self._const += float(elem.value) * col
-            else:
-                self._tv.append((col, elem.value))
+        def response(pattern):
+            col = np.zeros(n)
+            for i, sign in pattern:
+                col += sign * g_inv[:, i]
+            return col
+
+        self._const, self._tv = _source_columns(assembler.circuit, n,
+                                                response)
 
     def run(self, x0: np.ndarray, times: np.ndarray) -> Optional[np.ndarray]:
         """March the recurrence; rows of the result are the solutions at
         ``times``.  Returns ``None`` on numerical breakdown (caller falls
         back to the generic engine)."""
-        n_pts = len(times)
-        x_all = np.empty((n_pts, self.n))
+        x_all = np.empty((len(times), self.n))
         x_all[0] = x0
-        a_mat, const, tv = self._a_mat, self._const, self._tv
-        x = x_all[0]
-        for k in range(1, n_pts):
-            # Cooperative cancellation: amortised to one clock read per
-            # 256 recurrence steps so the march's hot loop stays hot.
-            if DEADLINE.active is not None and not (k & 0xFF):
-                DEADLINE.active.check("linear march")
-            row = x_all[k]
-            np.dot(a_mat, x, out=row)
-            row += const
-            if tv:
-                t = times[k]
-                for col, value in tv:
-                    row += evaluate_source(value, t) * col
-            x = row
-        if not np.all(np.isfinite(x_all)):
-            if OBS.enabled:
-                OBS.metrics.counter("fastpath.linear_march_breakdowns").inc()
-            return None
-        if OBS.enabled:
-            m = OBS.metrics
-            m.counter("fastpath.linear_march_runs").inc()
-            m.counter("fastpath.linear_march_steps").inc(n_pts - 1)
-            # Each recurrence step is one application of the march's
-            # single factorisation — the fast path's reuse currency.
-            m.counter("mna.lu_reuses").inc(n_pts - 1)
-        return x_all
+        recur(self._step, x_all, self._const, self._tv, times, self._label)
+        return x_all if count_march(x_all, self._sparse) else None
 
 
-class SparseLinearMarch:
+class SparseLinearMarch(LinearMarch):
     """Sparse-factor linear transient march for large circuits.
 
-    Same recurrence as :class:`LinearMarch` — backward Euler makes each
-    step ``G x_k = E x_{k-1} + b_src(t_k)`` with constant ``G`` — but
-    where the dense march pre-multiplies by ``G^-1`` (an O(n^3) inverse
-    plus an O(n^2) dense matvec per step, plus an O(n^2) dense ``A``
-    that alone is prohibitive at 1000+ unknowns), this variant holds a
-    SuperLU factorisation of CSC ``G`` and back-substitutes per step:
+    Same recurrence as :class:`LinearMarch`, but where the dense march
+    pre-multiplies by ``G^-1`` (an O(n^3) inverse plus an O(n^2) dense
+    matvec per step, plus an O(n^2) dense ``A`` that alone is
+    prohibitive at 1000+ unknowns), this variant holds a SuperLU
+    factorisation of CSC ``G`` and back-substitutes per step:
 
         ``x_k = lu.solve(E x_{k-1}) + const + sum_s level_s(t_k) c_s``
 
-    ``E`` is kept sparse (one conductance quad per capacitor, one
-    diagonal entry per inductor), so the per-step cost is two
-    near-linear passes for the banded ladders that need this route.
-    The symbolic analysis + numeric factorisation happen once for the
-    whole march; per-source response columns ``c_s = G^-1 e_s`` are
-    computed by back-substitution at construction.
+    ``E`` is kept sparse, so the per-step cost is two near-linear passes
+    for the banded ladders that need this route.  The factorisation
+    happens once for the whole march; the response columns ``c_s`` are
+    back-substituted at construction.
 
     Results agree with the dense march/reference engine to solver
     round-off (the 1e-9 equivalence pins), not bitwise — a different
     factorisation orders the arithmetic differently.
     """
 
+    _label = "sparse linear march"
+    _sparse = True
+
     def __init__(self, assembler, dt: float, gmin: float) -> None:
         import scipy.sparse
 
         from repro.spice.mna import _factorize_sparse
 
-        self.assembler = assembler
-        self.n = assembler.n
-        state = assembler.new_state()
-        state.dt = dt
-        state.method = "be"
-        state.gmin = gmin
-        g_static = assembler.static_matrix(state)
-        self._lu = _factorize_sparse(g_static)
+        n = self.n = assembler.n
+        lu = _factorize_sparse(_static_matrix(assembler, dt, gmin))
+        rows, cols, vals = _companion_entries(assembler.circuit, dt)
+        e_mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
-        for cap in assembler.circuit.elements_of_type(Capacitor):
-            a, b = cap._idx
-            geq = cap.capacitance / dt
-            for r, c, sign in ((a, a, 1.0), (b, b, 1.0),
-                               (a, b, -1.0), (b, a, -1.0)):
-                if r >= 0 and c >= 0:
-                    rows.append(r)
-                    cols.append(c)
-                    vals.append(sign * geq)
-        for ind in assembler.circuit.elements_of_type(Inductor):
-            j = ind.branch_index()
-            rows.append(j)
-            cols.append(j)
-            vals.append(-ind.inductance / dt)
-        self._e_mat = scipy.sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(self.n, self.n))
+        def step(x, out):
+            out[:] = lu.solve(e_mat @ x)
 
-        self._const = np.zeros(self.n)
-        self._tv: List[Tuple[np.ndarray, object]] = []
-        rhs = np.zeros(self.n)
-        for elem in assembler.circuit.elements:
-            if isinstance(elem, VoltageSource):
-                rhs[:] = 0.0
-                rhs[elem.branch_index()] = 1.0
-            elif isinstance(elem, CurrentSource):
-                a, b = elem._idx
-                rhs[:] = 0.0
-                if a >= 0:
-                    rhs[a] = -1.0
-                if b >= 0:
-                    rhs[b] = 1.0
-            else:
-                continue
-            col = self._lu.solve(rhs)
+        def response(pattern):
+            rhs = np.zeros(n)
+            for i, sign in pattern:
+                rhs[i] = sign
+            col = lu.solve(rhs)
             if not np.all(np.isfinite(col)):
                 raise np.linalg.LinAlgError("singular MNA matrix")
-            if isinstance(elem.value, (int, float)):
-                self._const += float(elem.value) * col
-            else:
-                self._tv.append((col, elem.value))
+            return col
 
-    def run(self, x0: np.ndarray, times: np.ndarray) -> Optional[np.ndarray]:
-        """March the recurrence (semantics mirror
-        :meth:`LinearMarch.run`)."""
-        n_pts = len(times)
-        x_all = np.empty((n_pts, self.n))
-        x_all[0] = x0
-        lu, e_mat, const, tv = self._lu, self._e_mat, self._const, self._tv
-        x = x_all[0]
-        for k in range(1, n_pts):
-            if DEADLINE.active is not None and not (k & 0xFF):
-                DEADLINE.active.check("sparse linear march")
-            row = lu.solve(e_mat @ x)
-            row += const
-            if tv:
-                t = times[k]
-                for col, value in tv:
-                    row += evaluate_source(value, t) * col
-            x_all[k] = row
-            x = row
-        if not np.all(np.isfinite(x_all)):
-            if OBS.enabled:
-                OBS.metrics.counter("fastpath.sparse_march_breakdowns").inc()
-            return None
-        if OBS.enabled:
-            m = OBS.metrics
-            m.counter("fastpath.sparse_march_runs").inc()
-            m.counter("fastpath.sparse_march_steps").inc(n_pts - 1)
-            m.counter("mna.sparse_reuses").inc(n_pts - 1)
-        return x_all
+        self._const, self._tv = _source_columns(assembler.circuit, n,
+                                                response)
+        self._step = step

@@ -5,12 +5,17 @@ companion-model system at each point with Newton.  If a step refuses to
 converge (typical at switching edges), the step is recursively halved up
 to ``max_subdivisions`` levels — the output grid is unchanged, only the
 internal march is refined.
+
+This module is the march core of both transient engines: a
+:class:`MarchGrid` (grid and step policy) and one :class:`CircuitMarch`
+per circuit (set-up, Newton step, linear route, recording, result).
+:func:`transient` drives one march; :mod:`repro.spice.batched` drives K.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -140,6 +145,258 @@ _SPAN_COUNTERS = ("solver.newton_iterations", "mna.lu_factorizations",
 #: ``transient.subdivision_storm`` warning event is emitted.
 _SUBDIVISION_STORM = 16
 
+#: gmin shunt every transient march (and its linear recurrence) runs at
+_GMIN = 1e-12
+
+
+class MarchGrid:
+    """The uniform output grid and step policy that one march — or a
+    batch of them — walks: ``n_steps`` steps of ``dt`` (``times``), the
+    integration ``method``, and each step's Newton budget and
+    subdivision depth.  Construction validates the arguments and takes
+    the default depth from the retry policy."""
+
+    def __init__(self, t_stop: float, dt: float, method: str,
+                 max_newton: int, max_subdivisions: Optional[int],
+                 retry_policy: Optional[RetryPolicy]) -> None:
+        if t_stop <= 0:
+            raise ValueError("t_stop must be positive")
+        if dt <= 0 or dt > t_stop:
+            raise ValueError("dt must lie in (0, t_stop]")
+        if method not in ("be", "trap"):
+            raise ValueError(f"unknown method {method!r}")
+        if max_subdivisions is None:
+            policy = (retry_policy if retry_policy is not None
+                      else active_policy())
+            max_subdivisions = policy.max_timestep_halvings
+        self.t_stop = t_stop
+        self.dt = dt
+        self.method = method
+        self.max_newton = max_newton
+        self.max_subdivisions = max_subdivisions
+        self.n_steps = int(round(t_stop / dt))
+        self.times = dt * np.arange(self.n_steps + 1)
+
+    def check_end(self, circuit_name: str) -> None:
+        """Warn, and log a ``transient.grid_mismatch`` event, when
+        ``t_stop`` is not an integer multiple of ``dt``.  Called from
+        one level below a public entry point, so the warning names the
+        line that called :func:`transient` or :func:`batched_transient`."""
+        t_end = self.n_steps * self.dt
+        if abs(t_end - self.t_stop) <= 1e-9 * max(abs(self.t_stop), self.dt):
+            return
+        warnings.warn(
+            f"t_stop={self.t_stop:g} is not an integer multiple of "
+            f"dt={self.dt:g}; the march covers {self.n_steps} steps ending "
+            f"at t={t_end:g}, not t_stop", GridMismatchWarning, stacklevel=4)
+        if OBS.enabled:
+            event("transient.grid_mismatch", level="warning",
+                  circuit=circuit_name, t_stop=self.t_stop, dt=self.dt,
+                  t_end=t_end)
+
+    def step_span(self, k: int) -> Tuple[float, float]:
+        """``(t_from, t_to)`` of the step that ends at grid point ``k``."""
+        t_to = float(self.times[k])
+        return t_to - self.dt, t_to
+
+
+class CircuitMarch:
+    """One circuit's march over a :class:`MarchGrid`: its assembler and
+    Newton state, the current solution ``x`` and the recorded samples.
+
+    :func:`transient` drives one; :class:`~repro.spice.batched.BatchedMarch`
+    drives K in lockstep (``slot`` is the circuit's position in the
+    batch).  Raises :class:`KeyError` for an unknown ``record`` node and
+    :class:`TypeError` for a ``record_branches`` element that carries no
+    branch current.
+    """
+
+    def __init__(self, circuit: Circuit, grid: MarchGrid,
+                 record: Optional[Sequence[str]],
+                 record_branches: Optional[Sequence[str]],
+                 fast_path: bool = True, slot: int = 0) -> None:
+        asm = self.assembler = Assembler(circuit, fast_path=fast_path)
+        self.circuit = circuit
+        self.grid = grid
+        self.fast_path = fast_path
+        self.slot = slot
+        self.state = asm.new_state()
+        self.state.method = grid.method
+        self.capacitors = circuit.elements_of_type(Capacitor)
+        self.x: Optional[np.ndarray] = None
+        self.record_nodes = (list(record) if record is not None
+                             else asm.node_names)
+        for node in self.record_nodes:
+            if node != GROUND and node not in asm.index:
+                raise KeyError(f"cannot record unknown node {node!r}")
+        branches: Dict[str, int] = {}
+        for name in (record_branches or ()):
+            elem = circuit.element(name)
+            if getattr(elem, "n_branches", 0) < 1:
+                raise TypeError(f"{name!r} carries no branch current "
+                                f"(not a voltage source)")
+            branches[name] = elem.branch_index()
+        self.branch_names = list(branches)
+        self.branch_idx = np.array(list(branches.values()), dtype=np.intp)
+        # Vectorised capture: every sample is a fancy-indexed gather
+        # (ground indices, -1, are redirected to a zero slot appended to
+        # the solution vector).
+        rec_raw = np.array([asm.index.get(node, -1)
+                            for node in self.record_nodes], dtype=np.intp)
+        self.rec_idx = np.where(rec_raw < 0, asm.n, rec_raw)
+        self.trace_mat = np.empty((len(self.record_nodes), grid.n_steps + 1))
+        self.branch_mat = np.empty((len(self.branch_names), grid.n_steps + 1))
+        self._ext = np.zeros(asm.n + 1)
+
+    def start(self, x0: Optional[np.ndarray] = None, uic: bool = False
+              ) -> None:
+        """Seed and record the solution at t = 0: ``x0`` when given,
+        else the initial conditions (``uic``), else the DC operating
+        point."""
+        asm, state = self.assembler, self.state
+        if x0 is not None:
+            x = np.array(x0, dtype=float)
+        elif uic:
+            x = np.zeros(asm.n)
+            # Seed capacitor initial conditions as node-voltage guesses.
+            for cap in self.capacitors:
+                if cap.ic is not None:
+                    a, b = cap._idx
+                    if a >= 0 and b < 0:
+                        x[a] = cap.ic
+            # Inductor initial currents seed the branch unknowns directly.
+            for ind in self.circuit.elements_of_type(Inductor):
+                if ind.ic is not None:
+                    x[ind.branch_index()] = ind.ic
+        else:
+            state.dt = None
+            state.t = 0.0
+            x = _solve_with_homotopy(asm, state,
+                                     max_iter=self.grid.max_newton * 2)
+        self.x = x
+        self.capture(0, x)
+        state.gmin = _GMIN
+        state.source_scale = 1.0
+
+    def capture(self, k: int, vec: np.ndarray) -> None:
+        """Record solution ``vec`` as grid point ``k``."""
+        self._ext[:self.assembler.n] = vec
+        self.trace_mat[:, k] = self._ext[self.rec_idx]
+        if len(self.branch_names):
+            self.branch_mat[:, k] = vec[self.branch_idx]
+
+    def capture_all(self, x_all: np.ndarray) -> None:
+        """Record a whole trajectory at once (one row per grid point)."""
+        x_ext = np.hstack([x_all, np.zeros((len(x_all), 1))])
+        self.trace_mat[:, :] = x_ext[:, self.rec_idx].T
+        if len(self.branch_names):
+            self.branch_mat[:, :] = x_all[:, self.branch_idx].T
+
+    def step(self, k: int) -> None:
+        """Newton-advance to grid point ``k`` and record it; raises
+        :class:`NewtonError` once ``max_subdivisions`` halvings fail."""
+        grid, state = self.grid, self.state
+        # Trapezoidal integration needs a consistent initial capacitor
+        # current; a backward-Euler start-up step provides it even when
+        # sources are discontinuous at t = 0 (the SPICE convention).
+        state.method = "be" if (grid.method == "trap" and k == 1) else grid.method
+        t_from, t_to = grid.step_span(k)
+        self.x = self._advance(self.x, t_from, t_to, grid.max_subdivisions)
+        self.capture(k, self.x)
+
+    def _advance(self, x: np.ndarray, t_from: float, t_to: float,
+                 depth: int) -> np.ndarray:
+        """Advance the solution from ``t_from`` to ``t_to``; subdivide on
+        Newton failure."""
+        self.begin_step(x, t_from, t_to)
+        try:
+            x_new = newton_solve(self.assembler, self.state,
+                                 max_iter=self.grid.max_newton, x0=x)
+        except NewtonError as exc:
+            return self.subdivide(x, t_from, t_to, depth, exc)
+        self.end_step(x_new)
+        return x_new
+
+    def begin_step(self, x: np.ndarray, t_from: float, t_to: float) -> None:
+        """Point the state at the step ``t_from -> t_to`` from solution ``x``."""
+        state = self.state
+        state.dt = t_to - t_from
+        state.t = t_to
+        state.x_prev = x
+
+    def end_step(self, x_new: np.ndarray) -> None:
+        """Commit a converged step's capacitor integration state."""
+        for cap in self.capacitors:
+            cap.record_state(self.state, x_new)
+
+    def subdivide(self, x: np.ndarray, t_from: float, t_to: float,
+                  depth: int, error: NewtonError) -> np.ndarray:
+        """March ``t_from -> t_to`` as two half steps after its Newton
+        solve failed with ``error`` (re-raised once ``depth`` is
+        exhausted)."""
+        if depth <= 0:
+            raise error
+        state = self.state
+        state.stats["subdivisions"] += 1
+        note_retry("timestep_halving", t_from=t_from, t_to=t_to,
+                   depth_remaining=depth)
+        if OBS.enabled:
+            OBS.metrics.counter("transient.subdivisions").inc()
+            event("transient.subdivision",
+                  level="info" if depth > 2 else "warning",
+                  t_from=t_from, t_to=t_to, depth_remaining=depth)
+            # A storm — many halvings inside one march — usually means
+            # dt is far too coarse for the circuit's fastest edge; flag
+            # it once, at the threshold crossing.
+            if state.stats["subdivisions"] == _SUBDIVISION_STORM:
+                event("transient.subdivision_storm", level="warning",
+                      subdivisions=_SUBDIVISION_STORM, t=t_to)
+        aux_backup = dict(state.aux)
+        t_mid = t_from + (t_to - t_from) / 2.0
+        try:
+            x_mid = self._advance(x, t_from, t_mid, depth - 1)
+            return self._advance(x_mid, t_mid, t_to, depth - 1)
+        except NewtonError:
+            state.aux = aux_backup
+            raise
+
+    def recurrence(self) -> Optional[Any]:
+        """The circuit's one-factorisation linear recurrence
+        (:class:`~repro.spice.fastpath.SparseLinearMarch` on the sparse
+        route), or ``None`` when ``G`` is singular."""
+        cls = SparseLinearMarch if self.assembler.use_sparse else LinearMarch
+        try:
+            return cls(self.assembler, dt=self.grid.dt, gmin=_GMIN)
+        except np.linalg.LinAlgError:
+            return None
+
+    def march_linear(self) -> Optional[str]:
+        """March and record the whole grid through :meth:`recurrence`;
+        returns the engine label, or ``None`` when the recurrence is
+        singular or breaks down (nothing is recorded past t = 0)."""
+        rec = self.recurrence()
+        x_all = rec.run(self.x, self.grid.times) if rec is not None else None
+        if x_all is None:
+            return None
+        self.capture_all(x_all)
+        return ("sparse_linear_march" if self.assembler.use_sparse
+                else "linear_march")
+
+    def result(self, engine: str, **stats: Any) -> TransientResult:
+        """The recorded waveforms, ``stats`` tagged with ``engine``."""
+        grid = self.grid
+        traces = {node: self.trace_mat[i]
+                  for i, node in enumerate(self.record_nodes)}
+        branch_traces = {name: self.branch_mat[i]
+                         for i, name in enumerate(self.branch_names)}
+        result = TransientResult(grid.times, traces,
+                                 circuit_name=self.circuit.name,
+                                 branch_samples=branch_traces)
+        result.stats = dict(self.state.stats, engine=engine,
+                            n_steps=grid.n_steps, method=grid.method,
+                            fast_path=self.fast_path, **stats)
+        return result
+
 
 def transient(circuit: Circuit, t_stop: float, dt: float,
               record: Optional[Sequence[str]] = None,
@@ -198,253 +455,47 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
         loops) before simulating; raises
         :class:`~repro.errors.DeckError` naming the offender.
     """
-    if t_stop <= 0:
-        raise ValueError("t_stop must be positive")
-    if dt <= 0 or dt > t_stop:
-        raise ValueError("dt must lie in (0, t_stop]")
-    if method not in ("be", "trap"):
-        raise ValueError(f"unknown method {method!r}")
+    grid = MarchGrid(t_stop, dt, method, max_newton, max_subdivisions,
+                     retry_policy)
     if validate:
         validate_deck(circuit)
-    policy = retry_policy if retry_policy is not None else active_policy()
-    if max_subdivisions is None:
-        max_subdivisions = policy.max_timestep_halvings
-
     if not OBS.enabled:
-        return _transient_impl(circuit, t_stop, dt, record, record_branches,
-                               method, x0, uic, max_newton, max_subdivisions,
-                               fast_path)
+        return _transient_impl(circuit, grid, record, record_branches, x0,
+                               uic, fast_path)
 
     before = {name: counter_value(name) for name in _SPAN_COUNTERS}
-    march0 = counter_value("fastpath.linear_march_runs")
-    sparse0 = counter_value("fastpath.sparse_march_runs")
     with OBS.tracer.span("transient", circuit=circuit.name, t_stop=t_stop,
                          dt=dt, method=method, fast_path=fast_path) as sp:
-        result = _transient_impl(circuit, t_stop, dt, record, record_branches,
-                                 method, x0, uic, max_newton,
-                                 max_subdivisions, fast_path)
+        result = _transient_impl(circuit, grid, record, record_branches, x0,
+                                 uic, fast_path)
         deltas = {name.split(".", 1)[1]: counter_value(name) - before[name]
                   for name in _SPAN_COUNTERS}
-        if counter_value("fastpath.linear_march_runs") > march0:
-            engine = "linear_march"
-        elif counter_value("fastpath.sparse_march_runs") > sparse0:
-            engine = "sparse_linear_march"
-        else:
-            engine = "newton"
-        sp.set(n_steps=max(len(result.times) - 1, 0), engine=engine, **deltas)
+        sp.set(n_steps=grid.n_steps, engine=result.stats["engine"], **deltas)
         result.trace = sp
     m = OBS.metrics
     m.counter("transient.runs").inc()
-    m.counter("transient.steps").inc(max(len(result.times) - 1, 0))
+    m.counter("transient.steps").inc(grid.n_steps)
     return result
 
 
-def _transient_impl(circuit: Circuit, t_stop: float, dt: float,
+def _transient_impl(circuit: Circuit, grid: MarchGrid,
                     record: Optional[Sequence[str]],
                     record_branches: Optional[Sequence[str]],
-                    method: str,
-                    x0: Optional[np.ndarray],
-                    uic: bool,
-                    max_newton: int,
-                    max_subdivisions: int,
+                    x0: Optional[np.ndarray], uic: bool,
                     fast_path: bool) -> TransientResult:
     """The uninstrumented march (see :func:`transient` for semantics)."""
-    assembler = Assembler(circuit, fast_path=fast_path)
-    state = assembler.new_state()
-    state.method = method
-    capacitors = circuit.elements_of_type(Capacitor)
-
-    # --- initial point ------------------------------------------------
-    if x0 is not None:
-        x = np.array(x0, dtype=float)
-    elif uic:
-        x = np.zeros(assembler.n)
-        # Seed capacitor initial conditions as node-voltage guesses.
-        for cap in capacitors:
-            if cap.ic is not None:
-                a, b = cap._idx
-                if a >= 0 and b < 0:
-                    x[a] = cap.ic
-        # Inductor initial currents seed the branch unknowns directly.
-        for ind in circuit.elements_of_type(Inductor):
-            if ind.ic is not None:
-                x[ind.branch_index()] = ind.ic
-    else:
-        state.dt = None
-        state.t = 0.0
-        x = _solve_with_homotopy(assembler, state, max_iter=max_newton * 2)
-
-    n_steps = int(round(t_stop / dt))
-    if abs(n_steps * dt - t_stop) > 1e-9 * max(abs(t_stop), dt):
-        warnings.warn(
-            f"t_stop={t_stop:g} is not an integer multiple of dt={dt:g}; "
-            f"the march covers {n_steps} steps ending at t={n_steps * dt:g}, "
-            f"not t_stop", GridMismatchWarning, stacklevel=3)
-        if OBS.enabled:
-            event("transient.grid_mismatch", level="warning",
-                  circuit=circuit.name, t_stop=t_stop, dt=dt,
-                  t_end=n_steps * dt)
-    record_nodes = list(record) if record is not None else assembler.node_names
-    for node in record_nodes:
-        if node != GROUND and node not in assembler.index:
-            raise KeyError(f"cannot record unknown node {node!r}")
-    branch_indices: Dict[str, int] = {}
-    for name in (record_branches or ()):
-        elem = circuit.element(name)
-        if getattr(elem, "n_branches", 0) < 1:
-            raise TypeError(f"{name!r} carries no branch current "
-                            f"(not a voltage source)")
-        branch_indices[name] = elem.branch_index()
-    times = dt * np.arange(n_steps + 1)
-
-    # Vectorised capture: node/branch index arrays are computed once and
-    # every sample is a fancy-indexed gather (ground indices, -1, are
-    # redirected to a zero slot appended to the solution vector).
-    rec_raw = np.array([assembler.index.get(node, -1) for node in record_nodes],
-                       dtype=np.intp)
-    rec_idx = np.where(rec_raw < 0, assembler.n, rec_raw)
-    branch_names = list(branch_indices)
-    branch_idx = np.array([branch_indices[name] for name in branch_names],
-                          dtype=np.intp)
-    trace_mat = np.empty((len(record_nodes), n_steps + 1))
-    branch_mat = np.empty((len(branch_names), n_steps + 1))
-    ext = np.empty(assembler.n + 1)
-    ext[assembler.n] = 0.0
-
-    def capture(k: int, vec: np.ndarray) -> None:
-        ext[:assembler.n] = vec
-        trace_mat[:, k] = ext[rec_idx]
-        if len(branch_names):
-            branch_mat[:, k] = vec[branch_idx]
-
-    capture(0, x)
-
-    # --- march ----------------------------------------------------------
-    state.gmin = 1e-12
-    state.source_scale = 1.0
-
+    grid.check_end(circuit.name)
+    march = CircuitMarch(circuit, grid, record, record_branches, fast_path)
+    march.start(x0, uic)
     # Fully linear circuit + backward Euler: one factorisation, then a
     # matrix-vector recurrence over the whole grid.
-    if fast_path and linear_march_supported(circuit, method):
-        x_all = _run_linear_march(assembler, x, times)
-        if x_all is not None:
-            x_ext = np.hstack([x_all, np.zeros((n_steps + 1, 1))])
-            trace_mat[:, :] = x_ext[:, rec_idx].T
-            if len(branch_names):
-                branch_mat[:, :] = x_all[:, branch_idx].T
-            traces = {node: trace_mat[i] for i, node in enumerate(record_nodes)}
-            branch_traces = {name: branch_mat[i]
-                             for i, name in enumerate(branch_names)}
-            result = TransientResult(times, traces, circuit_name=circuit.name,
-                                     branch_samples=branch_traces)
-            engine = ("sparse_linear_march" if assembler.use_sparse
-                      else "linear_march")
-            result.stats = dict(state.stats, engine=engine,
-                                n_steps=n_steps, method=method,
-                                fast_path=fast_path)
-            return result
-
-    for k in range(1, n_steps + 1):
-        if DEADLINE.active is not None:
-            DEADLINE.active.check("transient march")
-        # Trapezoidal integration needs a consistent initial capacitor
-        # current; a backward-Euler start-up step provides it even when
-        # sources are discontinuous at t = 0 (the SPICE convention).
-        state.method = "be" if (method == "trap" and k == 1) else method
-        t_target = float(times[k])
-        x = _advance(assembler, state, capacitors, x,
-                     t_from=t_target - dt, t_to=t_target,
-                     max_newton=max_newton, depth=max_subdivisions)
-        capture(k, x)
-
-    traces = {node: trace_mat[i] for i, node in enumerate(record_nodes)}
-    branch_traces = {name: branch_mat[i] for i, name in enumerate(branch_names)}
-    result = TransientResult(times, traces, circuit_name=circuit.name,
-                             branch_samples=branch_traces)
-    result.stats = dict(state.stats, engine="newton", n_steps=n_steps,
-                        method=method, fast_path=fast_path)
-    return result
-
-
-def _run_linear_march(assembler: Assembler, x0: np.ndarray,
-                      times: np.ndarray) -> Optional[np.ndarray]:
-    """Try the linear-march fast path; ``None`` means fall back.
-
-    Large systems (``assembler.use_sparse``) march through the
-    SuperLU-factorised :class:`~repro.spice.fastpath.SparseLinearMarch`
-    instead of the dense ``G^-1`` recurrence.
-    """
-    if len(times) < 2:
-        return None
-    march_cls = SparseLinearMarch if assembler.use_sparse else LinearMarch
-    try:
-        march = march_cls(assembler, dt=float(times[1] - times[0]),
-                          gmin=1e-12)
-    except np.linalg.LinAlgError:
-        return None
-    return march.run(x0, times)
-
-
-def _advance(assembler: Assembler, state: SimState,
-             capacitors: Iterable[Capacitor], x: np.ndarray,
-             t_from: float, t_to: float, max_newton: int,
-             depth: int) -> np.ndarray:
-    """Advance the solution from ``t_from`` to ``t_to``; subdivide on
-    Newton failure."""
-    _begin_step(state, x, t_from, t_to)
-    try:
-        x_new = newton_solve(assembler, state, max_iter=max_newton, x0=x)
-    except NewtonError as exc:
-        return _subdivide(assembler, state, capacitors, x, t_from, t_to,
-                          max_newton, depth, exc)
-    _end_step(state, capacitors, x_new)
-    return x_new
-
-
-def _begin_step(state: SimState, x: np.ndarray, t_from: float,
-                t_to: float) -> None:
-    """Point the state at the step ``t_from -> t_to`` from solution ``x``."""
-    state.dt = t_to - t_from
-    state.t = t_to
-    state.x_prev = x
-
-
-def _end_step(state: SimState, capacitors: Iterable[Capacitor],
-              x_new: np.ndarray) -> None:
-    """Commit a converged step's capacitor integration state."""
-    for cap in capacitors:
-        cap.record_state(state, x_new)
-
-
-def _subdivide(assembler: Assembler, state: SimState,
-               capacitors: Iterable[Capacitor], x: np.ndarray,
-               t_from: float, t_to: float, max_newton: int, depth: int,
-               error: NewtonError) -> np.ndarray:
-    """March ``t_from -> t_to`` as two half steps after its Newton solve
-    failed with ``error`` (re-raised once ``depth`` is exhausted)."""
-    if depth <= 0:
-        raise error
-    state.stats["subdivisions"] += 1
-    note_retry("timestep_halving", t_from=t_from, t_to=t_to,
-               depth_remaining=depth)
-    if OBS.enabled:
-        OBS.metrics.counter("transient.subdivisions").inc()
-        event("transient.subdivision",
-              level="info" if depth > 2 else "warning",
-              t_from=t_from, t_to=t_to, depth_remaining=depth)
-        # A storm — many halvings inside one march — usually means
-        # dt is far too coarse for the circuit's fastest edge; flag
-        # it once, at the threshold crossing.
-        if state.stats["subdivisions"] == _SUBDIVISION_STORM:
-            event("transient.subdivision_storm", level="warning",
-                  subdivisions=_SUBDIVISION_STORM, t=t_to)
-    aux_backup = dict(state.aux)
-    t_mid = t_from + (t_to - t_from) / 2.0
-    try:
-        x_mid = _advance(assembler, state, capacitors, x, t_from, t_mid,
-                         max_newton, depth - 1)
-        return _advance(assembler, state, capacitors, x_mid, t_mid, t_to,
-                        max_newton, depth - 1)
-    except NewtonError:
-        state.aux = aux_backup
-        raise
+    engine = None
+    if fast_path and linear_march_supported(circuit, grid.method):
+        engine = march.march_linear()
+    if engine is None:
+        engine = "newton"
+        for k in range(1, grid.n_steps + 1):
+            if DEADLINE.active is not None:
+                DEADLINE.active.check("transient march")
+            march.step(k)
+    return march.result(engine)

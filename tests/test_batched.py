@@ -32,7 +32,8 @@ from repro.faults.universe import paper_circuit1_faults, stuck_at_universe
 from repro.obs.core import observe
 from repro.resilience.deadline import check_deadline
 from repro.service import CampaignSpec
-from repro.spice import Circuit, batched_transient, transient
+from repro.spice import (Circuit, GridMismatchWarning, batched_transient,
+                         transient)
 from repro.spice.batched import BatchedMarch
 
 
@@ -250,6 +251,35 @@ def test_batched_validates_arguments_like_serial():
     with pytest.raises(ValueError):
         batched_transient(_bridge_variants(1), t_stop=1e-5, dt=1e-8,
                           method="rk4")
+    # an off-grid t_stop warns at the caller's line and logs one event,
+    # exactly as the serial engine does
+    for run in (transient, batched_transient):
+        circuit = _ladder() if run is transient else _bridge_variants(2)
+        with observe() as h:
+            with pytest.warns(GridMismatchWarning) as caught:
+                run(circuit, t_stop=1.05e-6, dt=1e-7, record=["b"])
+        assert caught[0].filename == __file__
+        events = h.events.records(name="transient.grid_mismatch")
+        assert len(events) == 1
+        assert events[0]["fields"]["t_end"] == pytest.approx(1.0e-6)
+
+
+def test_batched_sparse_route_matches_serial(monkeypatch):
+    # the sparse (splu) route has no tensor lockstep: every variant
+    # marches alone inside the batch, through the serial linear march
+    monkeypatch.setenv("REPRO_SPARSE_THRESHOLD", "1")
+    variants = _bridge_variants(4)
+    batched = batched_transient(variants, 1e-5, 1e-8, record=["a", "b"],
+                                record_branches=["V1"])
+    for circuit, got in zip(variants, batched):
+        ref = transient(circuit, 1e-5, 1e-8, record=["a", "b"],
+                        record_branches=["V1"])
+        assert got is not None
+        assert got.stats["engine"] == ref.stats["engine"] == "sparse_linear_march"
+        assert got.stats["batch_k"] == 1
+        _assert_bitwise(got, ref, ["a", "b"])
+        assert np.array_equal(got.branch_current("V1").values,
+                              ref.branch_current("V1").values)
 
 
 # --- campaign batch_size: equality with serial ----------------------------

@@ -24,8 +24,14 @@ import pytest
 from repro import CampaignScheduler, CampaignSpec, ResultCache, Session
 from repro.errors import CampaignError
 from repro.faults.campaign import FaultCampaign, FaultOutcome
+from repro.faults.dictionary import (
+    SignatureDetector,
+    TransientSignatureTechnique,
+    dictionary_faults,
+    dictionary_ladder,
+)
 from repro.faults.model import StuckAtFault
-from repro.obs.core import OBS
+from repro.obs.core import OBS, observe
 from repro.obs.ledger import RunLedger
 from repro.service.cache import CACHE_SCHEMA, fault_key
 from repro.session import RunResult
@@ -337,6 +343,37 @@ class TestCampaignScheduler:
             got = sched.submit(_spec(technique=closure_technique)).result()
         assert bucket                        # ran in-process
         assert _normalized(got) == _normalized(serial)
+
+    def test_every_route_counts_the_reference_simulation(self):
+        # the scheduler dispatches the fault-free reference as its own
+        # shard; its simulation counters must come home like the inline
+        # reference of FaultCampaign.run
+        spec = CampaignSpec(
+            technique=TransientSignatureTechnique(t_stop=2e-4, dt=1e-6,
+                                                  node="n3"),
+            detector=SignatureDetector(abs_v=0.05),
+            target=dictionary_ladder(n_sections=4),
+            faults=tuple(dictionary_faults(n_sections=4, n_faults=8)),
+            threshold=0.0)
+        prefixes = ("transient.", "fastpath.", "mna.", "solver.")
+
+        def sim_counters(run):
+            with observe() as handle:
+                run()
+            return {name: value for name, value
+                    in handle.metrics.counter_values().items()
+                    if name.startswith(prefixes)}
+
+        def scheduled(workers):
+            with CampaignScheduler(workers=workers) as sched:
+                sched.submit(spec).result()
+
+        inline = sim_counters(lambda: FaultCampaign(
+            spec.technique, spec.detector, threshold=0.0).run(spec=spec))
+        assert inline["transient.runs"] == 9
+        assert inline["fastpath.linear_march_runs"] == 9
+        assert sim_counters(lambda: scheduled(1)) == inline
+        assert sim_counters(lambda: scheduled(2)) == inline
 
     def test_unpicklable_measurement_matches_campaign(self, tmp_path):
         # the route is decided from the call the pool would pickle,
