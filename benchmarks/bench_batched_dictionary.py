@@ -9,65 +9,48 @@ lockstep tensor.  This file times the same 64-fault campaign at
 ``batch_size`` ∈ {1, 8, 32, 64} (the speedup table), pins batched
 results to the serial ones, and demonstrates the sparse (CSC + splu)
 solver route on a ladder large enough that the dense path cannot
-finish inside the budget the sparse route sets.
+finish inside the budget the sparse route sets.  The campaigns are the
+``batched`` suite's workloads in :mod:`repro.obs.bench`.
 
 ``python benchmarks/bench_batched_dictionary.py`` (no pytest) runs the
 telemetry suite instead and writes ``BENCH_batched.json`` in the
-``repro.bench/1`` schema — the file committed under
-``benchmarks/baselines/`` and compared warn-only in CI.
+``repro.bench/1`` schema; CI's ``bench-gate`` job gates that suite
+against the parent commit (``python -m repro.obs compare``).
 """
 
 import os
 import time
 
 from repro.errors import DeadlineExceeded
-from repro.faults.campaign import FaultCampaign
-from repro.faults.dictionary import (
-    SignatureDetector,
-    TransientSignatureTechnique,
-    dictionary_faults,
-    dictionary_ladder,
-)
+from repro.faults.dictionary import dictionary_ladder
+from repro.obs.bench import SUITES
 from repro.resilience.deadline import deadline_scope
 from repro.spice import transient
 
-N_SECTIONS = 10
 N_FAULTS = 64
-T_STOP = 3.1e-3
-DT = 1e-6
-OUT_NODE = "n9"
+WORKLOADS = SUITES["batched"]
 
 #: the tentpole's acceptance floor for the K=64 lockstep speedup.
 TARGET_SPEEDUP = 5.0
 
 
-def _run_campaign(batch_size):
-    target = dictionary_ladder(n_sections=N_SECTIONS)
-    faults = dictionary_faults(n_sections=N_SECTIONS, n_faults=N_FAULTS)
-    technique = TransientSignatureTechnique(t_stop=T_STOP, dt=DT,
-                                            node=OUT_NODE)
-    campaign = FaultCampaign(technique, SignatureDetector(abs_v=0.05),
-                             threshold=0.0, batch_size=batch_size)
-    return campaign.run(target, faults)
-
-
 def test_perf_dictionary_serial(benchmark):
-    result = benchmark(_run_campaign, 1)
+    result = benchmark(WORKLOADS["dictionary_64f_serial"])
     assert result.n_faults == N_FAULTS
 
 
 def test_perf_dictionary_k8(benchmark):
-    result = benchmark(_run_campaign, 8)
+    result = benchmark(WORKLOADS["dictionary_64f_k8"])
     assert result.n_faults == N_FAULTS
 
 
 def test_perf_dictionary_k32(benchmark):
-    result = benchmark(_run_campaign, 32)
+    result = benchmark(WORKLOADS["dictionary_64f_k32"])
     assert result.n_faults == N_FAULTS
 
 
 def test_perf_dictionary_k64(benchmark):
-    result = benchmark(_run_campaign, 64)
+    result = benchmark(WORKLOADS["dictionary_64f_k64"])
     assert result.n_faults == N_FAULTS
 
 
@@ -85,10 +68,10 @@ def test_batched_matches_serial_and_hits_target():
     plain timer, asserting byte-identical outcomes *and* the >=5x
     speedup the tentpole promises (measured ~19x on a dev host)."""
     t0 = time.perf_counter()
-    serial = _run_campaign(1)
+    serial = WORKLOADS["dictionary_64f_serial"]()
     serial_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    batched = _run_campaign(N_FAULTS)
+    batched = WORKLOADS["dictionary_64f_k64"]()
     batched_s = time.perf_counter() - t0
     assert _normalized(batched) == _normalized(serial)
     speedup = serial_s / batched_s

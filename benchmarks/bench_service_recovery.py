@@ -16,9 +16,8 @@ suite in :mod:`repro.obs.bench`:
 
 ``python benchmarks/bench_service_recovery.py`` (no pytest) runs the
 telemetry suite instead and writes ``BENCH_recovery.json`` in the
-``repro.bench/1`` schema — the file committed under
-``benchmarks/baselines/`` and compared warn-only in CI's
-``service-durability`` job.
+``repro.bench/1`` schema; CI's ``bench-gate`` job gates that suite
+against the parent commit (``python -m repro.obs compare``).
 """
 
 from repro.obs.bench import (

@@ -11,12 +11,9 @@ an order of magnitude sooner.
 This file pins the tentpole's acceptance floor: >=10x campaign
 wall-clock with <=5 % of faults escalated to the full transient, and
 verdict equality (``detected`` per fault, with byte-identical outcomes
-for escalated faults) against the unprescreened run.
-
-``python benchmarks/bench_surrogate_prescreen.py`` (no pytest) runs
-the telemetry suite instead and writes ``BENCH_surrogate.json`` in the
-``repro.bench/1`` schema — the file committed under
-``benchmarks/baselines/`` and compared warn-only in CI.
+for escalated faults) against the unprescreened run.  The same
+64-fault, 127-chip scenario is perfbench's ``dictionary_prescreen``
+workload, which times it layer by layer.
 """
 
 import time
@@ -106,7 +103,3 @@ def test_prescreen_matches_transient_and_hits_target():
     assert speedup >= TARGET_SPEEDUP
     assert escalated <= MAX_ESCALATED_FRACTION * N_FAULTS
 
-
-if __name__ == "__main__":
-    from repro.obs.bench import run_suite
-    run_suite("surrogate", rounds=3, out_dir=".")

@@ -3,14 +3,15 @@
 Subcommands
 -----------
 ``bench``
-    Run a benchmark suite (default ``sim``; ``experiments`` re-runs the
-    paper's evaluation workloads) with every round inside an enabled
-    observation scope, and write ``BENCH_<suite>.json`` — median/IQR
-    wall-clock plus key solver counters per workload.
+    Run a benchmark suite (default ``batched``; ``recovery`` times the
+    durable service's restart path) with every call inside an enabled
+    observation scope, and write ``BENCH_<suite>.json`` — raw times,
+    median/IQR wall-clock plus key solver counters per workload.
 ``compare``
-    Compare two ``BENCH_*.json`` files; exits non-zero when any common
-    workload's median slowed beyond ``--threshold`` (a ratio;
-    ``--warn-only`` downgrades failures for bootstrap runs).
+    Compare a parent's ``BENCH_*.json`` files with a change's (each
+    side one file or a quoted glob, times pooled per workload); exits
+    non-zero when any common workload's pooled median slowed beyond
+    ``--threshold`` (a ratio).
 ``suites``
     List the available suites and their workloads.
 ``ledger``
@@ -40,9 +41,9 @@ def main(argv=None) -> int:
 
     p_bench = sub.add_parser(
         "bench", help="run a suite and write BENCH_<suite>.json")
-    p_bench.add_argument("--suite", default="sim",
+    p_bench.add_argument("--suite", default="batched",
                          choices=sorted(_bench.SUITES),
-                         help="workload suite (default: sim)")
+                         help="workload suite (default: batched)")
     p_bench.add_argument("--ids", nargs="*", metavar="ID", default=None,
                          help="subset of workloads to run (default: all)")
     p_bench.add_argument("--rounds", type=int, default=3,
@@ -53,13 +54,13 @@ def main(argv=None) -> int:
                          help="suppress per-workload progress lines")
 
     p_cmp = sub.add_parser(
-        "compare", help="gate a candidate BENCH file against a baseline")
-    p_cmp.add_argument("baseline", help="baseline BENCH_*.json")
-    p_cmp.add_argument("candidate", help="candidate BENCH_*.json")
+        "compare", help="gate candidate BENCH files against a baseline")
+    p_cmp.add_argument("baseline",
+                       help="baseline BENCH_*.json, or a quoted glob")
+    p_cmp.add_argument("candidate",
+                       help="candidate BENCH_*.json, or a quoted glob")
     p_cmp.add_argument("--threshold", type=float, default=1.15,
                        help="allowed median slowdown ratio (default: 1.15)")
-    p_cmp.add_argument("--warn-only", action="store_true",
-                       help="report regressions but exit 0 (bootstrap)")
 
     sub.add_parser("suites", help="list suites and workloads")
 
@@ -96,8 +97,7 @@ def main(argv=None) -> int:
         return 0
     if args.command == "compare":
         return _bench.compare_benches(args.baseline, args.candidate,
-                                      threshold=args.threshold,
-                                      warn_only=args.warn_only)
+                                      threshold=args.threshold)
     if args.command == "suites":
         for suite in sorted(_bench.SUITES):
             print(f"{suite}: {' '.join(sorted(_bench.SUITES[suite]))}")

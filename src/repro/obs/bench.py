@@ -2,20 +2,24 @@
 persisted and comparable.
 
 ``python -m repro.obs bench`` runs a named suite of workloads — each a
-zero-argument callable mirroring one of the ``benchmarks/bench_*.py``
-scenarios — several rounds apiece, every round inside its own enabled
-observation scope, and writes ``BENCH_<suite>.json``: per-workload
-median and IQR wall-clock timings plus the scope's key counters
+zero-argument callable shared with one of the ``benchmarks/bench_*.py``
+scenarios — one or more rounds apiece, every call inside its own
+enabled observation scope, and writes ``BENCH_<suite>.json``:
+per-workload raw times, median and IQR plus the scope's key counters
 (Newton iterations, LU factorisations, transient steps...).  The
 counters are the telemetry half: a timing regression with unchanged
 counters is machine noise; a timing regression *with* a counter jump
 (Newton iterations doubled, LinearMarch stopped engaging) is an engine
 regression and says where to look.
 
-``python -m repro.obs compare old.json new.json --threshold 1.15``
-gates the trajectory: non-zero exit when any common workload's median
-slowed beyond the threshold ratio (``--warn-only`` downgrades for
-bootstrap runs), with counter drifts annotated per workload.
+``python -m repro.obs compare BASE CAND --threshold 1.15`` gates a
+change against its parent: each side is one bench file or a glob of
+them, every workload's ``times_s`` are pooled across a side's files,
+and the exit is non-zero when any common workload's pooled median
+slowed beyond the threshold ratio, with counter drifts annotated per
+workload.  Both sides are meant to come from the same runner,
+alternating single-round runs of the two trees, so the ratio measures
+the change and not the host.
 
 Everything here is driven by the registry in :data:`SUITES`, so adding
 a workload is one entry.
@@ -23,9 +27,13 @@ a workload is one entry.
 
 from __future__ import annotations
 
+import atexit
+import glob
 import json
 import os
 import platform
+import shutil
+import statistics
 import sys
 import time
 from typing import Any, Callable, Dict, List, Optional
@@ -41,55 +49,12 @@ SCHEMA = "repro.bench/1"
 # workloads
 
 
-def _rc_transient_10k():
-    from repro.spice import Circuit, transient
-    circuit = Circuit("rc")
-    circuit.vsource("VIN", "in", "0", lambda t: 5.0 if t > 0 else 0.0)
-    circuit.resistor("R1", "in", "out", 1e3)
-    circuit.capacitor("C1", "out", "0", 1e-6)
-    return transient(circuit, t_stop=10e-3, dt=1e-6, record=["out"])
-
-
-def _op1_transient_1k():
-    from repro.circuits.op1 import op1_follower
-    from repro.spice import transient
-    circuit = op1_follower(input_value=lambda t: 2.2 if t < 50e-6 else 3.0)
-    return transient(circuit, t_stop=1e-3, dt=1e-6, record=["3"])
-
-
-def _op1_dc():
-    from repro.circuits.op1 import op1_follower
-    from repro.spice import dc_operating_point
-    return dc_operating_point(op1_follower(input_value=2.5))
-
-
-def _divider_campaign():
-    from repro.faults import FaultCampaign, StuckAtFault
-    from repro.spice import Circuit, dc_operating_point
-
-    def build():
-        ckt = Circuit("div")
-        ckt.vsource("V1", "top", "0", 5.0)
-        ckt.resistor("R1", "top", "mid", 1e3)
-        ckt.resistor("R2", "mid", "0", 1e3)
-        return ckt
-
-    def technique(ckt):
-        return dc_operating_point(ckt)[0]["mid"]
-
-    faults = [f for node in ("top", "mid")
-              for f in (StuckAtFault.sa0(node), StuckAtFault.sa1(node))]
-    campaign = FaultCampaign(technique,
-                             lambda ref, m: 1.0 if abs(m - ref) > 0.5 else 0.0,
-                             threshold=0.5)
-    return campaign.run(build(), faults)
-
-
 def _dictionary_campaign(batch_size: int) -> Callable[[], Any]:
     """A 64-fault dictionary campaign over a 10-section RC ladder,
     scored sample-by-sample — the BENCH_batched speedup scenario.
     ``batch_size=1`` is the serial reference the Kx variants are
-    measured against (mirrors benchmarks/bench_batched_dictionary.py)."""
+    measured against (benchmarks/bench_batched_dictionary.py times the
+    same callables)."""
     def run():
         from repro.faults import FaultCampaign
         from repro.faults.dictionary import (
@@ -107,49 +72,6 @@ def _dictionary_campaign(batch_size: int) -> Callable[[], Any]:
         return campaign.run(target, faults)
     run.__name__ = f"dictionary_64f_k{batch_size}"
     return run
-
-
-def _surrogate_campaign(prescreen: bool) -> Callable[[], Any]:
-    """The 64-fault dictionary campaign with a 127-chip PRBS (12.7 ms),
-    with and without the surrogate prescreen — the BENCH_surrogate
-    speedup scenario (mirrors benchmarks/bench_surrogate_prescreen.py).
-    The longer stimulus is what the prescreen is for: transient cost
-    scales with steps, the vector fit does not."""
-    def run():
-        from repro.faults import FaultCampaign
-        from repro.faults.dictionary import (
-            SignatureDetector,
-            TransientSignatureTechnique,
-            dictionary_faults,
-            dictionary_ladder,
-        )
-        from repro.service.spec import CampaignSpec
-        from repro.signals.prbs import prbs_waveform
-        stimulus = prbs_waveform(order=7, chip_time=100e-6, low=0.0,
-                                 high=5.0, dt=1e-6, seed=3)
-        target = dictionary_ladder(n_sections=10, stimulus=stimulus)
-        faults = dictionary_faults(n_sections=10, n_faults=64)
-        technique = TransientSignatureTechnique(
-            t_stop=stimulus.duration, dt=1e-6, node="n9")
-        campaign = FaultCampaign(technique, SignatureDetector(abs_v=0.05),
-                                 threshold=0.05)
-        spec = CampaignSpec(target=target, faults=tuple(faults))
-        if prescreen:
-            spec = spec.replace(prescreen="surrogate")
-        return campaign.run(spec=spec)
-    run.__name__ = ("dictionary_64f_prescreened" if prescreen
-                    else "dictionary_64f_transient")
-    return run
-
-
-def _fit_rc_ladder():
-    """One vector fit of the 10-section ladder's transfer function —
-    the prescreen's per-fault unit of work, timed in isolation."""
-    from repro.faults.dictionary import dictionary_ladder
-    from repro.surrogate import PrescreenConfig, fit_circuit
-    circuit = dictionary_ladder(n_sections=10)
-    return fit_circuit(circuit, "VIN", "n9", config=PrescreenConfig(),
-                       dt=1e-6, t_stop=6.3e-3)
 
 
 def _sparse_ladder_transient():
@@ -220,6 +142,7 @@ def _recovery_stage() -> Dict[str, Any]:
     from repro.service.queue import PersistentJobQueue
     from repro.service.scheduler import CampaignScheduler
     workdir = tempfile.mkdtemp(prefix="repro-bench-recovery-")
+    atexit.register(shutil.rmtree, workdir, ignore_errors=True)
     queue_path = os.path.join(workdir, "queue.jsonl")
     specs = _recovery_specs(workdir)
     queue = PersistentJobQueue(queue_path)
@@ -290,31 +213,8 @@ def _service_restart_8jobs():
     return results
 
 
-def _experiment(exp_id: str) -> Callable[[], Any]:
-    def run():
-        from repro.experiments.registry import run_record
-        return run_record(exp_id)
-    run.__name__ = f"experiment_{exp_id}"
-    return run
-
-
 SUITES: Dict[str, Dict[str, Callable[[], Any]]] = {
-    # engine micro-workloads (mirror benchmarks/bench_sim_performance.py
-    # and bench_campaign_throughput.py)
-    "sim": {
-        "rc_transient_10k": _rc_transient_10k,
-        "op1_transient_1k": _op1_transient_1k,
-        "op1_dc_operating_point": _op1_dc,
-        "divider_campaign": _divider_campaign,
-    },
-    # the paper's evaluation section (mirrors benchmarks/bench_e*.py);
-    # select a subset with --ids (E5 takes ~0.2 s per round on a
-    # 2-vCPU x86-64 host).
-    "experiments": {
-        eid: _experiment(eid)
-        for eid in ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9")
-    },
-    # lockstep batched campaign + sparse solver route (mirrors
+    # lockstep batched campaign + sparse solver route (shared with
     # benchmarks/bench_batched_dictionary.py); the Kx workloads share
     # one scenario so their medians are directly comparable speedups.
     "batched": {
@@ -324,15 +224,7 @@ SUITES: Dict[str, Dict[str, Callable[[], Any]]] = {
         "dictionary_64f_k64": _dictionary_campaign(64),
         "sparse_ladder_1000": _sparse_ladder_transient,
     },
-    # surrogate prescreen vs full transient on one shared scenario
-    # (mirrors benchmarks/bench_surrogate_prescreen.py); the two
-    # dictionary workloads' median ratio is the prescreen speedup.
-    "surrogate": {
-        "dictionary_64f_transient": _surrogate_campaign(False),
-        "dictionary_64f_prescreened": _surrogate_campaign(True),
-        "vector_fit_ladder10": _fit_rc_ladder,
-    },
-    # durable-service restart latency (mirrors
+    # durable-service restart latency (shared with
     # benchmarks/bench_service_recovery.py): write-ahead append cost,
     # pure journal replay, and the full recover-and-serve restart.
     "recovery": {
@@ -342,35 +234,18 @@ SUITES: Dict[str, Dict[str, Callable[[], Any]]] = {
     },
 }
 
+#: shortest timed round (``timeit``'s autorange target): a faster
+#: workload repeats within the round, so a single-round run times a
+#: sub-millisecond workload warm rather than on its first, cold call.
+MIN_ROUND_S = 0.2
+
+#: untimed per-suite preparation, run once before the first workload so
+#: a single-round run times the workload and not the staging.
+SETUP: Dict[str, Callable[[], Any]] = {"recovery": _recovery_stage}
+
 
 # ---------------------------------------------------------------------------
 # runner
-
-
-def _median(values: List[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
-def _quartiles(values: List[float]) -> tuple:
-    """(q25, q75) by linear interpolation (matches numpy's default)."""
-    ordered = sorted(values)
-    n = len(ordered)
-    if n == 1:
-        return ordered[0], ordered[0]
-
-    def q(p: float) -> float:
-        idx = p * (n - 1)
-        lo = int(idx)
-        hi = min(lo + 1, n - 1)
-        frac = idx - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-    return q(0.25), q(0.75)
 
 
 def _key_counters(counter_values: Dict[str, int]) -> Dict[str, int]:
@@ -378,23 +253,34 @@ def _key_counters(counter_values: Dict[str, int]) -> Dict[str, int]:
             if name.startswith(KEY_COUNTER_PREFIXES)}
 
 
-def run_workload(fn: Callable[[], Any], rounds: int) -> Dict[str, Any]:
-    """Time ``fn`` for ``rounds`` rounds, each inside a fresh enabled
-    observation scope; returns the persisted per-workload record."""
-    times: List[float] = []
-    counters: Dict[str, int] = {}
-    for _ in range(rounds):
+def _timed_round(fn: Callable[[], Any]) -> tuple:
+    """One round: ``fn`` called back to back, each call inside a fresh
+    enabled observation scope, until :data:`MIN_ROUND_S` has passed.
+    Returns the mean seconds per call and the last call's counters."""
+    calls, elapsed = 0, 0.0
+    while calls == 0 or elapsed < MIN_ROUND_S:
         with observe() as handle:
             t0 = time.perf_counter()
             fn()
-            times.append(time.perf_counter() - t0)
-        # deterministic workloads produce identical counters per round;
-        # keep the last round's (they include the scope's full story).
-        counters = _key_counters(handle.metrics.counter_values())
-    q25, q75 = _quartiles(times)
+            elapsed += time.perf_counter() - t0
+        calls += 1
+    return elapsed / calls, _key_counters(handle.metrics.counter_values())
+
+
+def run_workload(fn: Callable[[], Any], rounds: int) -> Dict[str, Any]:
+    """Time ``fn`` for ``rounds`` rounds; returns the persisted
+    per-workload record (``times_s`` holds each round's mean per call;
+    deterministic workloads produce identical counters per call)."""
+    times: List[float] = []
+    for _ in range(rounds):
+        per_call_s, counters = _timed_round(fn)
+        times.append(per_call_s)
+    q25 = q75 = times[0]
+    if rounds > 1:
+        q25, _, q75 = statistics.quantiles(times, n=4, method="inclusive")
     return {
         "rounds": rounds,
-        "median_s": _median(times),
+        "median_s": statistics.median(times),
         "iqr_s": q75 - q25,
         "min_s": min(times),
         "max_s": max(times),
@@ -403,7 +289,7 @@ def run_workload(fn: Callable[[], Any], rounds: int) -> Dict[str, Any]:
     }
 
 
-def run_suite(suite: str = "sim", ids: Optional[List[str]] = None,
+def run_suite(suite: str = "batched", ids: Optional[List[str]] = None,
               rounds: int = 3, out_dir: str = ".",
               echo: bool = True) -> str:
     """Run a suite and write ``BENCH_<suite>.json``; returns the path."""
@@ -418,6 +304,9 @@ def run_suite(suite: str = "sim", ids: Optional[List[str]] = None,
             raise KeyError(f"unknown workload(s) {missing} in suite "
                            f"{suite!r}; known: {sorted(workloads)}")
         workloads = {i: workloads[i] for i in ids}
+    os.makedirs(out_dir, exist_ok=True)
+    if suite in SETUP:
+        SETUP[suite]()
     results: Dict[str, Any] = {}
     for name, fn in workloads.items():
         if echo:
@@ -436,8 +325,8 @@ def run_suite(suite: str = "sim", ids: Optional[List[str]] = None,
         "python": platform.python_version(),
         "platform": platform.platform(),
         # provenance only — compare_benches reads doc["workloads"] and
-        # ignores this block, so trajectories stay comparable across
-        # hosts and commits while each point remains attributable
+        # ignores this block, so each point stays attributable without
+        # making the gate depend on where it ran
         "meta": runtime_meta(),
         "workloads": results,
     }
@@ -463,54 +352,64 @@ def load_bench(path: str) -> Dict[str, Any]:
     return doc
 
 
-def compare_benches(baseline_path: str, candidate_path: str,
-                    threshold: float = 1.15, warn_only: bool = False,
-                    out=None) -> int:
-    """Compare two BENCH_*.json files; returns the process exit code.
+def _pool(pattern: str) -> Dict[str, Dict[str, Any]]:
+    """Every workload's ``times_s`` pooled across the bench files that
+    ``pattern`` (a path or a glob) names, with the last file's counters."""
+    paths = sorted(glob.glob(pattern)) or [pattern]
+    pooled: Dict[str, Dict[str, Any]] = {}
+    for path in paths:
+        for name, rec in load_bench(path)["workloads"].items():
+            entry = pooled.setdefault(name, {"times_s": []})
+            entry["times_s"].extend(rec["times_s"])
+            entry["counters"] = rec.get("counters", {})
+    for entry in pooled.values():
+        entry["median_s"] = statistics.median(entry["times_s"])
+    return pooled
 
-    A workload *regresses* when ``candidate_median / baseline_median >
+
+def compare_benches(baseline: str, candidate: str,
+                    threshold: float = 1.15, out=None) -> int:
+    """Compare two sets of BENCH_*.json files; returns the exit code.
+
+    Each side is a path or a glob; a workload's times are pooled across
+    its side's files before the median is taken.  A
+    workload *regresses* when ``candidate_median / baseline_median >
     threshold``.  Counter drifts are annotated (they tell you whether a
     slowdown is engine behaviour or machine noise) but never gate on
     their own.
     """
     out = sys.stdout if out is None else out
-    base = load_bench(baseline_path)
-    cand = load_bench(candidate_path)
-    common = sorted(set(base["workloads"]) & set(cand["workloads"]))
+    base = _pool(baseline)
+    cand = _pool(candidate)
+    common = sorted(set(base) & set(cand))
     if not common:
-        print("error: no common workloads between the two files",
+        print("error: no common workloads between the two sides",
               file=sys.stderr)
         return 2
     regressions: List[str] = []
     print(f"{'workload':32s} {'base (s)':>12s} {'cand (s)':>12s} "
           f"{'ratio':>7s}", file=out)
     for name in common:
-        b = base["workloads"][name]
-        c = cand["workloads"][name]
+        b = base[name]
+        c = cand[name]
         ratio = (c["median_s"] / b["median_s"]
                  if b["median_s"] > 0 else float("inf"))
         flag = ""
         if ratio > threshold:
             regressions.append(name)
-            flag = "  WARN" if warn_only else "  FAIL"
+            flag = "  FAIL"
         print(f"{name:32s} {b['median_s']:12.6f} {c['median_s']:12.6f} "
               f"{ratio:7.3f}{flag}", file=out)
-        drifts = _counter_drifts(b.get("counters", {}),
-                                 c.get("counters", {}))
-        for line in drifts:
+        for line in _counter_drifts(b["counters"], c["counters"]):
             print(f"    {line}", file=out)
-    skipped = sorted((set(base["workloads"]) | set(cand["workloads"]))
-                     - set(common))
+    skipped = sorted((set(base) | set(cand)) - set(common))
     if skipped:
-        print(f"not compared (present in only one file): "
+        print(f"not compared (present on only one side): "
               f"{', '.join(skipped)}", file=out)
     if regressions:
-        verdict = (f"{len(regressions)} workload(s) beyond the "
-                   f"{threshold:g}x gate: {', '.join(regressions)}")
-        if warn_only:
-            print(f"warning: {verdict} (warn-only)", file=out)
-            return 0
-        print(f"error: {verdict}", file=sys.stderr)
+        print(f"error: {len(regressions)} workload(s) beyond the "
+              f"{threshold:g}x gate: {', '.join(regressions)}",
+              file=sys.stderr)
         return 1
     print(f"all {len(common)} workload(s) within the {threshold:g}x gate",
           file=out)

@@ -28,6 +28,7 @@ metrics snapshot alone.
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
@@ -128,17 +129,6 @@ class ProgressTracker:
 # post-hoc straggler analysis
 
 
-def _median(values: List[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    if not n:
-        return 0.0
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
 @dataclass
 class WorkerStats:
     """Wall-time accounting for one worker process."""
@@ -205,7 +195,7 @@ def straggler_report(result: Any, factor: float = 4.0,
     when its *mean* fault time does.
     """
     times = [o.elapsed_s for o in result.outcomes]
-    med = _median(times)
+    med = statistics.median(times) if times else 0.0
     threshold = max(factor * med, min_fault_s)
     report = StragglerReport(n_faults=len(times), median_fault_s=med,
                              factor=factor)

@@ -21,9 +21,11 @@ nothing and history matters most for routine runs.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import platform
+import statistics
 import subprocess
 import threading
 import time
@@ -41,8 +43,15 @@ LEDGER_SCHEMA = "repro.run-ledger/1"
 
 def runtime_meta() -> Dict[str, Any]:
     """Who/where/what produced a row (or a bench file): git commit and
-    dirty flag, hostname, python/numpy versions.  Every field degrades
-    to ``None`` rather than raising — provenance is best-effort."""
+    dirty flag of the tree ``repro`` was imported from, hostname,
+    python/numpy versions.  Every field degrades to ``None`` rather
+    than raising — provenance is best-effort.  Computed once per
+    process; each call returns a fresh copy."""
+    return dict(_runtime_meta())
+
+
+@functools.lru_cache(maxsize=1)
+def _runtime_meta() -> Dict[str, Any]:
     meta: Dict[str, Any] = {
         "hostname": platform.node() or None,
         "python": platform.python_version(),
@@ -55,13 +64,15 @@ def runtime_meta() -> Dict[str, Any]:
         meta["numpy"] = numpy.__version__
     except Exception:  # pragma: no cover - numpy is a hard dep today
         pass
+    package_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     try:
-        head = subprocess.run(["git", "rev-parse", "HEAD"],
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=package_dir,
                               capture_output=True, text=True, timeout=5)
         if head.returncode == 0:
             meta["git_commit"] = head.stdout.strip()
             dirty = subprocess.run(["git", "status", "--porcelain"],
-                                   capture_output=True, text=True, timeout=5)
+                                   cwd=package_dir, capture_output=True,
+                                   text=True, timeout=5)
             if dirty.returncode == 0:
                 meta["git_dirty"] = bool(dirty.stdout.strip())
     except Exception:
@@ -245,7 +256,7 @@ def render_trend(grouped: Dict[str, List[Dict[str, Any]]],
             lines.append(f"{key[:12]}  {name}  runs={len(rows)}  (no timing)")
             continue
         latest = times[-1]
-        median = sorted(times)[len(times) // 2]
+        median = statistics.median(times)
         ratio = latest / median if median > 0 else 1.0
         flag = "  REGRESSED" if ratio > threshold and len(times) > 1 else ""
         lines.append(

@@ -1,8 +1,10 @@
 """Observability v2: exporters, span profiling, structured event log,
 campaign health and the benchmark-telemetry pipeline."""
 
+import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -561,12 +563,40 @@ class TestCampaignHealth:
 # benchmark-telemetry pipeline
 
 
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _toy_divider_campaign():
+    return FaultCampaign(_mid_voltage, _shift_detector,
+                         threshold=0.5).run(divider(), _divider_faults())
+
+
+def _bench_doc(times, counters=None, **extra):
+    """A synthetic BENCH file holding one workload ``w``."""
+    rec = {"median_s": statistics.median(times), "iqr_s": 0.0,
+           "times_s": list(times), "counters": counters or {}}
+    return dict({"schema": obs_bench.SCHEMA, "suite": "toy",
+                 "rounds": len(times), "workloads": {"w": rec}}, **extra)
+
+
+def _write(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestBenchPipeline:
-    def test_bench_writes_json_with_median_iqr_counters(self, tmp_path):
-        path = obs_bench.run_suite(suite="sim", ids=["divider_campaign"],
-                                   rounds=3, out_dir=str(tmp_path),
-                                   echo=False)
-        assert os.path.basename(path) == "BENCH_sim.json"
+    @pytest.fixture
+    def toy_suite(self, monkeypatch):
+        monkeypatch.setitem(obs_bench.SUITES, "toy",
+                            {"divider_campaign": _toy_divider_campaign})
+        monkeypatch.setattr(obs_bench, "MIN_ROUND_S", 0.0)
+        return "toy"
+
+    def test_bench_writes_json_with_median_iqr_counters(self, tmp_path,
+                                                       toy_suite):
+        path = obs_bench.run_suite(suite=toy_suite, rounds=3,
+                                   out_dir=str(tmp_path), echo=False)
+        assert os.path.basename(path) == "BENCH_toy.json"
         doc = json.loads(open(path).read())
         assert doc["schema"] == obs_bench.SCHEMA
         rec = doc["workloads"]["divider_campaign"]
@@ -576,36 +606,87 @@ class TestBenchPipeline:
         assert rec["counters"]["solver.newton_solves"] >= 1
         assert rec["counters"]["campaign.faults_evaluated"] == 4
 
+    def test_single_round_record(self, tmp_path, toy_suite):
+        path = obs_bench.run_suite(suite=toy_suite, rounds=1,
+                                   out_dir=str(tmp_path), echo=False)
+        rec = json.loads(open(path).read())["workloads"]["divider_campaign"]
+        assert rec["times_s"] == [rec["median_s"]]
+        assert rec["iqr_s"] == 0.0
+
+    def test_bench_creates_out_dir_and_runs_setup_first(self, tmp_path,
+                                                        monkeypatch):
+        out = tmp_path / "new" / "dir"
+        seen = []
+
+        def setup():
+            seen.append("setup")
+
+        def workload():
+            # the directory exists, and the staging ran, before any
+            # workload is timed
+            seen.append(("workload", out.is_dir()))
+
+        monkeypatch.setitem(obs_bench.SUITES, "toy", {"w": workload})
+        monkeypatch.setitem(obs_bench.SETUP, "toy", setup)
+        monkeypatch.setattr(obs_bench, "MIN_ROUND_S", 0.0)
+        path = obs_bench.run_suite(suite="toy", rounds=2, out_dir=str(out),
+                                   echo=False)
+        assert seen == ["setup", ("workload", True), ("workload", True)]
+        assert os.path.isfile(path)
+
+    def test_short_workload_repeats_within_a_round(self, monkeypatch):
+        calls = []
+
+        def workload():
+            calls.append(1)
+            obs.count("solver.newton_solves")
+            time.sleep(0.01)
+
+        monkeypatch.setattr(obs_bench, "MIN_ROUND_S", 0.05)
+        rec = obs_bench.run_workload(workload, rounds=1)
+        assert len(calls) >= 4
+        # the round records the mean per call, and one call's counters
+        assert 0.01 <= rec["times_s"][0] < 0.05
+        assert rec["counters"] == {"solver.newton_solves": 1}
+
     def test_compare_gates_synthetic_regression(self, tmp_path):
-        base = {"schema": obs_bench.SCHEMA, "suite": "sim", "rounds": 3,
-                "workloads": {"w": {"median_s": 1.0, "iqr_s": 0.0,
-                                    "counters": {"solver.newton_solves": 10}}}}
-        slow = {"schema": obs_bench.SCHEMA, "suite": "sim", "rounds": 3,
-                "workloads": {"w": {"median_s": 1.5, "iqr_s": 0.0,
-                                    "counters": {"solver.newton_solves": 40}}}}
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        a.write_text(json.dumps(base))
-        b.write_text(json.dumps(slow))
-        import io
+        a = _write(tmp_path / "a.json",
+                   _bench_doc([1.0], {"solver.newton_solves": 10}))
+        b = _write(tmp_path / "b.json",
+                   _bench_doc([1.5], {"solver.newton_solves": 40}))
         out = io.StringIO()
-        assert obs_bench.compare_benches(str(a), str(b), threshold=1.15,
-                                         out=out) == 1
+        assert obs_bench.compare_benches(a, b, threshold=1.15, out=out) == 1
         report = out.getvalue()
         assert "FAIL" in report
         assert "counter solver.newton_solves: 10 -> 40" in report
         # within threshold -> clean exit
-        assert obs_bench.compare_benches(str(a), str(a), threshold=1.15,
-                                         out=io.StringIO()) == 0
-        # warn-only downgrades
-        assert obs_bench.compare_benches(str(a), str(b), threshold=1.15,
-                                         warn_only=True,
+        assert obs_bench.compare_benches(a, a, threshold=1.15,
                                          out=io.StringIO()) == 0
 
-    def test_bench_stamps_runtime_meta(self, tmp_path):
+    def test_compare_pools_times_across_files(self, tmp_path):
+        counters = {"solver.newton_solves": 10}
+        _write(tmp_path / "base1.json", _bench_doc([1.0], counters))
+        _write(tmp_path / "base2.json", _bench_doc([3.0, 5.0], counters))
+        slow = {"solver.newton_solves": 20}
+        _write(tmp_path / "slow1.json", _bench_doc([1.3], slow))
+        _write(tmp_path / "slow2.json", _bench_doc([3.9, 6.5], slow))
+        base = str(tmp_path / "base*.json")
+        out = io.StringIO()
+        # pooled medians 3.0 vs 3.9: a 1.3x slowdown fails the gate
+        assert obs_bench.compare_benches(base, str(tmp_path / "slow*.json"),
+                                         threshold=1.15, out=out) == 1
+        report = out.getvalue()
+        assert "3.000000" in report and "3.900000" in report
+        assert "1.300  FAIL" in report
+        assert "counter solver.newton_solves: 10 -> 20" in report
+        # identical pools pass
+        assert obs_bench.compare_benches(base, base, threshold=1.15,
+                                         out=io.StringIO()) == 0
+
+    def test_bench_stamps_runtime_meta(self, tmp_path, toy_suite):
         import platform
-        path = obs_bench.run_suite(suite="sim", ids=["divider_campaign"],
-                                   rounds=1, out_dir=str(tmp_path),
-                                   echo=False)
+        path = obs_bench.run_suite(suite=toy_suite, rounds=1,
+                                   out_dir=str(tmp_path), echo=False)
         doc = json.loads(open(path).read())
         meta = doc["meta"]
         assert set(meta) >= {"hostname", "python", "git_commit",
@@ -613,44 +694,45 @@ class TestBenchPipeline:
         assert meta["python"] == platform.python_version()
 
     def test_compare_ignores_meta(self, tmp_path):
-        import io
-        rec = {"median_s": 1.0, "iqr_s": 0.0, "counters": {}}
-        base = {"schema": obs_bench.SCHEMA, "suite": "sim", "rounds": 3,
-                "workloads": {"w": dict(rec)},
-                "meta": {"hostname": "box-a", "git_commit": "aaaa"}}
-        cand = {"schema": obs_bench.SCHEMA, "suite": "sim", "rounds": 3,
-                "workloads": {"w": dict(rec)},
-                "meta": {"hostname": "box-b", "git_commit": "bbbb"}}
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        a.write_text(json.dumps(base))
-        b.write_text(json.dumps(cand))
+        a = _write(tmp_path / "a.json", _bench_doc(
+            [1.0], meta={"hostname": "box-a", "git_commit": "aaaa"}))
+        b = _write(tmp_path / "b.json", _bench_doc(
+            [1.0], meta={"hostname": "box-b", "git_commit": "bbbb"}))
         # different provenance, identical timings: provenance is
         # recorded for humans, never gated on
-        assert obs_bench.compare_benches(str(a), str(b), threshold=1.15,
+        assert obs_bench.compare_benches(a, b, threshold=1.15,
                                          out=io.StringIO()) == 0
 
     def test_cli_bench_and_compare(self, tmp_path):
-        env = dict(os.environ, PYTHONPATH="src")
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+        out = tmp_path / "fresh"
         run = subprocess.run(
-            [sys.executable, "-m", "repro.obs", "bench", "--suite", "sim",
-             "--ids", "divider_campaign", "--rounds", "1",
-             "--out", str(tmp_path), "--quiet"],
-            capture_output=True, text=True, env=env, cwd="/root/repo")
+            [sys.executable, "-m", "repro.obs", "bench", "--suite",
+             "batched", "--ids", "sparse_ladder_1000", "--rounds", "1",
+             "--out", str(out), "--quiet"],
+            capture_output=True, text=True, env=env, cwd=REPO_ROOT)
         assert run.returncode == 0, run.stderr
-        bench_file = tmp_path / "BENCH_sim.json"
+        bench_file = out / "BENCH_batched.json"
         assert bench_file.exists()
         cmp_run = subprocess.run(
             [sys.executable, "-m", "repro.obs", "compare",
-             str(bench_file), str(bench_file)],
-            capture_output=True, text=True, env=env, cwd="/root/repo")
+             str(bench_file), str(tmp_path / "*" / "BENCH_batched.json")],
+            capture_output=True, text=True, env=env, cwd=REPO_ROOT)
         assert cmp_run.returncode == 0, cmp_run.stderr
         assert "within the" in cmp_run.stdout
+
+    def test_cli_lists_the_kept_suites(self, capsys):
+        from repro.obs.__main__ import main as obs_main
+        assert obs_main(["suites"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["batched",
+                                                          "recovery"]
 
     def test_unknown_suite_and_workload(self, tmp_path):
         with pytest.raises(KeyError):
             obs_bench.run_suite(suite="nope", out_dir=str(tmp_path))
         with pytest.raises(KeyError):
-            obs_bench.run_suite(suite="sim", ids=["missing"],
+            obs_bench.run_suite(suite="batched", ids=["missing"],
                                 out_dir=str(tmp_path))
 
 

@@ -506,6 +506,15 @@ class TestRunLedger:
             {"deadbeef": rows[:3]}, threshold=1.15)
         assert "REGRESSED" not in steady
 
+    def test_trend_median_of_an_even_count(self):
+        # the median of four runs is the mean of the middle two (1.2),
+        # so the latest 1.4 s run is a 1.17x regression
+        rows = [{"key": "deadbeef", "name": "div", "elapsed_s": t}
+                for t in (1.0, 1.0, 1.4, 1.4)]
+        text = render_trend({"deadbeef": rows}, threshold=1.15)
+        assert "median=1.200s" in text
+        assert "ratio=1.17  REGRESSED" in text
+
     def test_cli_list_show_trend(self, tmp_path, capsys):
         path = tmp_path / "ledger.jsonl"
         led = RunLedger(str(path))
@@ -533,6 +542,39 @@ class TestRunLedger:
         assert set(meta) == {"hostname", "python", "git_commit",
                              "git_dirty", "numpy"}
         assert meta["python"]
+
+    def test_runtime_meta_asks_git_once_per_process(self, tmp_path,
+                                                    monkeypatch):
+        import subprocess
+        import types
+
+        import repro
+        from repro.obs import ledger as ledger_mod
+        calls = []
+        real_run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(kwargs.get("cwd"))
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(ledger_mod.subprocess, "run", counting_run)
+        ledger_mod._runtime_meta.cache_clear()
+        try:
+            led = RunLedger(str(tmp_path / "ledger.jsonl"))
+            result = types.SimpleNamespace(outcomes=[])
+            first = led.record_campaign(result, key="k")
+            second = led.record_campaign(result, key="k")
+        finally:
+            ledger_mod._runtime_meta.cache_clear()
+        # at most `git rev-parse` + `git status`, both asked about the
+        # tree the package was imported from, for both rows together
+        assert 1 <= len(calls) <= 2
+        assert set(calls) == {os.path.dirname(os.path.abspath(
+            repro.__file__))}
+        assert first["meta"] == second["meta"]
+        # callers get their own copy of the cached block
+        first["meta"]["hostname"] = "mutated"
+        assert runtime_meta()["hostname"] != "mutated"
 
 
 # --- live dashboard -------------------------------------------------------
