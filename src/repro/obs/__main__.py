@@ -11,7 +11,8 @@ Subcommands
     Compare a parent's ``BENCH_*.json`` files with a change's (each
     side one file or a quoted glob, times pooled per workload); exits
     non-zero when any common workload's pooled median slowed beyond
-    ``--threshold`` (a ratio).
+    ``--threshold`` (a ratio); a workload whose baseline IQR is wider
+    than that bound is reported unresolved and does not fail.
 ``suites``
     List the available suites and their workloads.
 ``ledger``

@@ -17,9 +17,10 @@ change against its parent: each side is one bench file or a glob of
 them, every workload's ``times_s`` are pooled across a side's files,
 and the exit is non-zero when any common workload's pooled median
 slowed beyond the threshold ratio, with counter drifts annotated per
-workload.  Both sides are meant to come from the same runner,
-alternating single-round runs of the two trees, so the ratio measures
-the change and not the host.
+workload.  A workload whose baseline times spread wider than the bound
+is reported unresolved instead of passed or failed.  Both sides are
+meant to come from the same runner, alternating single-round runs of
+the two trees, so the ratio measures the change and not the host.
 
 Everything here is driven by the registry in :data:`SUITES`, so adding
 a workload is one entry.
@@ -234,15 +235,6 @@ SUITES: Dict[str, Dict[str, Callable[[], Any]]] = {
     },
 }
 
-#: shortest timed round (``timeit``'s autorange target): a faster
-#: workload repeats within the round, so a single-round run times a
-#: sub-millisecond workload warm rather than on its first, cold call.
-MIN_ROUND_S = 0.2
-
-#: untimed per-suite preparation, run once before the first workload so
-#: a single-round run times the workload and not the staging.
-SETUP: Dict[str, Callable[[], Any]] = {"recovery": _recovery_stage}
-
 
 # ---------------------------------------------------------------------------
 # runner
@@ -253,28 +245,19 @@ def _key_counters(counter_values: Dict[str, int]) -> Dict[str, int]:
             if name.startswith(KEY_COUNTER_PREFIXES)}
 
 
-def _timed_round(fn: Callable[[], Any]) -> tuple:
-    """One round: ``fn`` called back to back, each call inside a fresh
-    enabled observation scope, until :data:`MIN_ROUND_S` has passed.
-    Returns the mean seconds per call and the last call's counters."""
-    calls, elapsed = 0, 0.0
-    while calls == 0 or elapsed < MIN_ROUND_S:
+def run_workload(fn: Callable[[], Any], rounds: int) -> Dict[str, Any]:
+    """Time ``fn`` for ``rounds`` rounds, each inside a fresh enabled
+    observation scope; returns the persisted per-workload record."""
+    times: List[float] = []
+    counters: Dict[str, int] = {}
+    for _ in range(rounds):
         with observe() as handle:
             t0 = time.perf_counter()
             fn()
-            elapsed += time.perf_counter() - t0
-        calls += 1
-    return elapsed / calls, _key_counters(handle.metrics.counter_values())
-
-
-def run_workload(fn: Callable[[], Any], rounds: int) -> Dict[str, Any]:
-    """Time ``fn`` for ``rounds`` rounds; returns the persisted
-    per-workload record (``times_s`` holds each round's mean per call;
-    deterministic workloads produce identical counters per call)."""
-    times: List[float] = []
-    for _ in range(rounds):
-        per_call_s, counters = _timed_round(fn)
-        times.append(per_call_s)
+            times.append(time.perf_counter() - t0)
+        # deterministic workloads produce identical counters per round;
+        # keep the last round's (they include the scope's full story).
+        counters = _key_counters(handle.metrics.counter_values())
     q25 = q75 = times[0]
     if rounds > 1:
         q25, _, q75 = statistics.quantiles(times, n=4, method="inclusive")
@@ -305,8 +288,10 @@ def run_suite(suite: str = "batched", ids: Optional[List[str]] = None,
                            f"{suite!r}; known: {sorted(workloads)}")
         workloads = {i: workloads[i] for i in ids}
     os.makedirs(out_dir, exist_ok=True)
-    if suite in SETUP:
-        SETUP[suite]()
+    if suite == "recovery":
+        # staged untimed, so a single-round run times the restart path
+        # and not the staging
+        _recovery_stage()
     results: Dict[str, Any] = {}
     for name, fn in workloads.items():
         if echo:
@@ -367,6 +352,14 @@ def _pool(pattern: str) -> Dict[str, Dict[str, Any]]:
     return pooled
 
 
+def _rel_iqr(times: List[float]) -> float:
+    """Interquartile range over the median (0 for a single time)."""
+    if len(times) < 2:
+        return 0.0
+    q25, _, q75 = statistics.quantiles(times, n=4, method="inclusive")
+    return (q75 - q25) / statistics.median(times)
+
+
 def compare_benches(baseline: str, candidate: str,
                     threshold: float = 1.15, out=None) -> int:
     """Compare two sets of BENCH_*.json files; returns the exit code.
@@ -374,7 +367,10 @@ def compare_benches(baseline: str, candidate: str,
     Each side is a path or a glob; a workload's times are pooled across
     its side's files before the median is taken.  A
     workload *regresses* when ``candidate_median / baseline_median >
-    threshold``.  Counter drifts are annotated (they tell you whether a
+    threshold``, unless the baseline's own spread (IQR over median) is
+    wider than the bound: a ratio that noisy cannot tell a change from
+    the host, so the workload is reported *unresolved* and does not fail
+    the gate.  Counter drifts are annotated (they tell you whether a
     slowdown is engine behaviour or machine noise) but never gate on
     their own.
     """
@@ -387,6 +383,7 @@ def compare_benches(baseline: str, candidate: str,
               file=sys.stderr)
         return 2
     regressions: List[str] = []
+    unresolved: List[str] = []
     print(f"{'workload':32s} {'base (s)':>12s} {'cand (s)':>12s} "
           f"{'ratio':>7s}", file=out)
     for name in common:
@@ -394,8 +391,12 @@ def compare_benches(baseline: str, candidate: str,
         c = cand[name]
         ratio = (c["median_s"] / b["median_s"]
                  if b["median_s"] > 0 else float("inf"))
+        spread = _rel_iqr(b["times_s"])
         flag = ""
-        if ratio > threshold:
+        if spread > threshold - 1:
+            unresolved.append(name)
+            flag = f"  unresolved (base IQR {spread:.0%} of median)"
+        elif ratio > threshold:
             regressions.append(name)
             flag = "  FAIL"
         print(f"{name:32s} {b['median_s']:12.6f} {c['median_s']:12.6f} "
@@ -406,13 +407,17 @@ def compare_benches(baseline: str, candidate: str,
     if skipped:
         print(f"not compared (present on only one side): "
               f"{', '.join(skipped)}", file=out)
+    if unresolved:
+        print(f"{len(unresolved)} workload(s) unresolved, their baseline "
+              f"spread is wider than the {threshold:g}x gate: "
+              f"{', '.join(unresolved)}", file=out)
     if regressions:
         print(f"error: {len(regressions)} workload(s) beyond the "
               f"{threshold:g}x gate: {', '.join(regressions)}",
               file=sys.stderr)
         return 1
-    print(f"all {len(common)} workload(s) within the {threshold:g}x gate",
-          file=out)
+    print(f"{len(common) - len(unresolved)} of {len(common)} workload(s) "
+          f"within the {threshold:g}x gate", file=out)
     return 0
 
 

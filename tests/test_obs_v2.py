@@ -589,7 +589,6 @@ class TestBenchPipeline:
     def toy_suite(self, monkeypatch):
         monkeypatch.setitem(obs_bench.SUITES, "toy",
                             {"divider_campaign": _toy_divider_campaign})
-        monkeypatch.setattr(obs_bench, "MIN_ROUND_S", 0.0)
         return "toy"
 
     def test_bench_writes_json_with_median_iqr_counters(self, tmp_path,
@@ -613,41 +612,27 @@ class TestBenchPipeline:
         assert rec["times_s"] == [rec["median_s"]]
         assert rec["iqr_s"] == 0.0
 
-    def test_bench_creates_out_dir_and_runs_setup_first(self, tmp_path,
-                                                        monkeypatch):
+    def test_bench_creates_out_dir_before_timing(self, tmp_path,
+                                                 monkeypatch):
         out = tmp_path / "new" / "dir"
         seen = []
-
-        def setup():
-            seen.append("setup")
-
-        def workload():
-            # the directory exists, and the staging ran, before any
-            # workload is timed
-            seen.append(("workload", out.is_dir()))
-
-        monkeypatch.setitem(obs_bench.SUITES, "toy", {"w": workload})
-        monkeypatch.setitem(obs_bench.SETUP, "toy", setup)
-        monkeypatch.setattr(obs_bench, "MIN_ROUND_S", 0.0)
+        monkeypatch.setitem(obs_bench.SUITES, "toy",
+                            {"w": lambda: seen.append(out.is_dir())})
         path = obs_bench.run_suite(suite="toy", rounds=2, out_dir=str(out),
                                    echo=False)
-        assert seen == ["setup", ("workload", True), ("workload", True)]
+        assert seen == [True, True]
         assert os.path.isfile(path)
 
-    def test_short_workload_repeats_within_a_round(self, monkeypatch):
-        calls = []
-
-        def workload():
-            calls.append(1)
-            obs.count("solver.newton_solves")
-            time.sleep(0.01)
-
-        monkeypatch.setattr(obs_bench, "MIN_ROUND_S", 0.05)
-        rec = obs_bench.run_workload(workload, rounds=1)
-        assert len(calls) >= 4
-        # the round records the mean per call, and one call's counters
-        assert 0.01 <= rec["times_s"][0] < 0.05
-        assert rec["counters"] == {"solver.newton_solves": 1}
+    def test_recovery_suite_stages_before_timing(self, tmp_path,
+                                                 monkeypatch):
+        seen = []
+        monkeypatch.setattr(obs_bench, "_recovery_stage",
+                            lambda: seen.append("stage"))
+        monkeypatch.setitem(obs_bench.SUITES, "recovery",
+                            {"w": lambda: seen.append("workload")})
+        obs_bench.run_suite(suite="recovery", rounds=1,
+                            out_dir=str(tmp_path), echo=False)
+        assert seen == ["stage", "workload"]
 
     def test_compare_gates_synthetic_regression(self, tmp_path):
         a = _write(tmp_path / "a.json",
@@ -666,22 +651,39 @@ class TestBenchPipeline:
     def test_compare_pools_times_across_files(self, tmp_path):
         counters = {"solver.newton_solves": 10}
         _write(tmp_path / "base1.json", _bench_doc([1.0], counters))
-        _write(tmp_path / "base2.json", _bench_doc([3.0, 5.0], counters))
+        _write(tmp_path / "base2.json", _bench_doc([1.02, 0.98], counters))
         slow = {"solver.newton_solves": 20}
         _write(tmp_path / "slow1.json", _bench_doc([1.3], slow))
-        _write(tmp_path / "slow2.json", _bench_doc([3.9, 6.5], slow))
+        _write(tmp_path / "slow2.json", _bench_doc([1.326, 1.274], slow))
         base = str(tmp_path / "base*.json")
         out = io.StringIO()
-        # pooled medians 3.0 vs 3.9: a 1.3x slowdown fails the gate
+        # pooled medians 1.0 vs 1.3: a 1.3x slowdown fails the gate
         assert obs_bench.compare_benches(base, str(tmp_path / "slow*.json"),
                                          threshold=1.15, out=out) == 1
         report = out.getvalue()
-        assert "3.000000" in report and "3.900000" in report
+        assert "1.000000" in report and "1.300000" in report
         assert "1.300  FAIL" in report
         assert "counter solver.newton_solves: 10 -> 20" in report
         # identical pools pass
+        out = io.StringIO()
         assert obs_bench.compare_benches(base, base, threshold=1.15,
-                                         out=io.StringIO()) == 0
+                                         out=out) == 0
+        assert "1 of 1 workload(s) within the 1.15x gate" in out.getvalue()
+
+    def test_compare_reports_a_noisy_baseline_unresolved(self, tmp_path):
+        # baseline IQR 0.5 of its median: a 1.3x median ratio is noise,
+        # reported but not failed
+        base = _write(tmp_path / "base.json",
+                      _bench_doc([0.5, 0.75, 1.0, 1.25, 1.5]))
+        cand = _write(tmp_path / "cand.json",
+                      _bench_doc([0.8, 1.1, 1.3, 1.5, 1.7]))
+        out = io.StringIO()
+        assert obs_bench.compare_benches(base, cand, threshold=1.15,
+                                         out=out) == 0
+        report = out.getvalue()
+        assert "1.300  unresolved (base IQR 50% of median)" in report
+        assert "0 of 1 workload(s) within the 1.15x gate" in report
+        assert "1 workload(s) unresolved" in report
 
     def test_bench_stamps_runtime_meta(self, tmp_path, toy_suite):
         import platform
