@@ -11,8 +11,8 @@
 # side's times per workload and fails on any pooled median slower than
 # the parent's by more than 1.15x; a workload whose parent times spread
 # wider than that is reported unresolved and does not fail.  A suite the
-# parent does not list is skipped.  The bench files are written to
-# OUT_DIR/{parent,change}/<iteration>/BENCH_<suite>.json.
+# parent does not list is skipped.  Each run appends its run-ledger rows
+# to OUT_DIR/{parent,change}/<iteration>/BENCH_<suite>.jsonl.
 set -euo pipefail
 
 parent=$(cd "$1" && pwd)
@@ -23,6 +23,7 @@ out=$(cd "$3" && pwd)
 run_side() {  # side tree iteration suite
     local dir="$out/$1/$3"
     mkdir -p "$dir"
+    rm -f "$dir/BENCH_$4.jsonl"   # bench appends; a re-run starts afresh
     (
         cd "$2"
         export PYTHONPATH="$2/src"
@@ -52,7 +53,7 @@ for suite in batched recovery; do
     done
     echo "== $suite: parent vs change, 5 alternating single-round runs each"
     PYTHONPATH="$change/src" python -m repro.obs compare \
-        "$out/parent/*/BENCH_$suite.json" "$out/change/*/BENCH_$suite.json" \
+        "$out/parent/*/BENCH_$suite.jsonl" "$out/change/*/BENCH_$suite.jsonl" \
         --threshold 1.15 || status=1
 done
 exit "$status"

@@ -15,8 +15,8 @@ suite in :mod:`repro.obs.bench`:
   disk cache without a single simulation.
 
 ``python benchmarks/bench_service_recovery.py`` (no pytest) runs the
-telemetry suite instead and writes ``BENCH_recovery.json`` in the
-``repro.bench/1`` schema; CI's ``bench-gate`` job gates that suite
+telemetry suite instead and appends run-ledger rows to
+``BENCH_recovery.jsonl``; CI's ``bench-gate`` job gates that suite
 against the parent commit (``python -m repro.obs compare``).
 """
 

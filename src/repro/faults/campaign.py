@@ -33,7 +33,7 @@ import os
 import pickle
 import time
 import warnings
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional
 
@@ -43,6 +43,8 @@ from repro.faults.model import Fault
 from repro.obs.core import OBS, event, observe
 from repro.obs.core import span as obs_span
 from repro.obs.health import CampaignProgress, ProgressTracker
+from repro.obs.ledger import key_counters
+from repro.obs.metrics import Metrics
 from repro.obs.trace import Span, TraceContext, stamp_pids
 from repro.resilience.checkpoint import CampaignCheckpoint
 from repro.resilience.deadline import Deadline, deadline_scope, installed
@@ -594,6 +596,9 @@ class _JobRun:
         #: ship-back fields of a dispatched reference shard (see
         #: :meth:`land_reference`), merged by :func:`_merge_obs`
         self.reference_obs: Optional[Dict[str, Any]] = None
+        #: counters the prescreen and an inline reference recorded
+        #: straight into the caller's scope (see :meth:`run_counted`)
+        self.inline_counters: Counter = Counter()
         self.evaluate: Optional[Callable[[Fault], FaultOutcome]] = None
         self.evaluate_batch: Optional[Callable[[List[Fault]], Any]] = None
         self.trace_ctx = trace_ctx
@@ -700,8 +705,9 @@ class _JobRun:
         prescreen = SurrogatePrescreen(spec.technique, spec.detector,
                                        spec.threshold,
                                        config=spec.prescreen_config)
-        verdicts = prescreen.classify(
-            spec.target, [self.fault_list[i] for i in pending])
+        verdicts = self.run_counted(functools.partial(
+            prescreen.classify, spec.target,
+            [self.fault_list[i] for i in pending]))
         escalated: List[int] = []
         for idx, verdict in zip(pending, verdicts):
             if verdict is None:
@@ -777,6 +783,18 @@ class _JobRun:
                         return
                     raise
                 self.land(shard.indices, payload)
+
+    def run_counted(self, call: Callable[[], Any]) -> Any:
+        """``call()`` on the calling thread, in the caller's scope, with
+        the counters it records there kept for the ledger row."""
+        if not self.collect_obs:
+            return call()
+        before = OBS.metrics.counter_values()
+        value = call()
+        for name, count in OBS.metrics.counter_values().items():
+            if count != before.get(name):
+                self.inline_counters[name] += count - before.get(name, 0)
+        return value
 
     def land_reference(self, payload: Any) -> None:
         """Take a finished reference shard: its measurement, plus the
@@ -935,13 +953,54 @@ class _JobRun:
             # history is best-effort persistence: a full disk or a
             # read-only path must never fail the campaign itself
             try:
-                ledger.record_campaign(result, key=self.spec.content_key(),
-                                       name=self.name,
-                                       prescreen=self.spec.prescreen,
-                                       job=self.tags.get("job"))
+                ledger.record(self.ledger_row(result))
             except Exception:  # noqa: BLE001
                 pass
         return result
+
+    def ledger_row(self, result: CampaignResult) -> Dict[str, Any]:
+        """The job's run-ledger row: the result's counts, its cache delta
+        and the key counters of everything the job measured — the
+        faults' shipped snapshots, the prescreen and the fault-free
+        reference, inline or dispatched ({} when the job ran
+        unobserved)."""
+        measured = Metrics()
+        for outcome in result.outcomes:
+            measured.merge(outcome.metrics)
+        if self.reference_obs is not None:
+            measured.merge(self.reference_obs["metrics"])
+        for name, value in self.inline_counters.items():
+            measured.counter(name).inc(value)
+        n, n_prescreened = result.n_faults, result.n_prescreened
+        prescreen = self.spec.prescreen
+        stats = result.cache_stats
+        return {
+            "key": self.spec.content_key(),
+            "name": self.name,
+            "job": self.tags.get("job"),
+            "n_faults": n,
+            "coverage": result.coverage,
+            "elapsed_s": result.elapsed_s,
+            "workers": result.workers,
+            "partial": result.partial,
+            "verdicts": {
+                "detected": result.n_detected,
+                "missed": sum(1 for o in result.outcomes
+                              if not o.detected and o.error is None),
+                "errors": result.n_errors,
+                "timeouts": result.n_timeouts,
+                "quarantined": result.n_quarantined,
+                "prescreened": n_prescreened,
+                "cached": sum(1 for o in result.outcomes if o.from_cache),
+            },
+            # escalation: of the faults the prescreen saw, how many
+            # needed the full transient anyway (None when no prescreen)
+            "escalation_rate": (1.0 - n_prescreened / n
+                                if prescreen and n else None),
+            "prescreen": prescreen,
+            "cache": stats.to_dict() if stats is not None else None,
+            "counters": key_counters(measured.counter_values()),
+        }
 
 
 def _merge_obs(result: CampaignResult, span: Optional[Span],
@@ -1159,7 +1218,8 @@ class FaultCampaign:
                     # lazy on purpose: a fully restored/cached campaign
                     # re-runs without a single simulation, reference
                     # included
-                    job.reference = self.technique(rspec.target)
+                    job.reference = job.run_counted(functools.partial(
+                        self.technique, rspec.target))
                 job.build_shards(1, pool=n_workers > 1)
                 if n_workers > 1 and not job.pooled:
                     warnings.warn(

@@ -6,8 +6,8 @@ universe, the sampled output response to the BIST stimulus — the fault
 fault-free signature sample by sample.  This module provides the
 lightweight technique/detector pair for that formulation plus builders
 for a parameterised RC-ladder dictionary target, used by the batched
-campaign tests and the ``BENCH_batched`` suite (the 64-fault dictionary
-speedup benchmark).
+campaign tests and the ``batched`` bench suite of :mod:`repro.obs.bench`
+(the 64-fault dictionary speedup benchmark).
 
 Everything here is picklable (classes, not closures) so dictionary
 campaigns compose with ``workers=N``, and the technique implements the

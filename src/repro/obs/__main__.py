@@ -5,21 +5,22 @@ Subcommands
 ``bench``
     Run a benchmark suite (default ``batched``; ``recovery`` times the
     durable service's restart path) with every call inside an enabled
-    observation scope, and write ``BENCH_<suite>.json`` — raw times,
-    median/IQR wall-clock plus key solver counters per workload.
+    observation scope, appending one run-ledger row per timed round to
+    ``BENCH_<suite>.jsonl`` — wall clock plus key solver counters.
 ``compare``
-    Compare a parent's ``BENCH_*.json`` files with a change's (each
+    Compare a parent's ``BENCH_*.jsonl`` files with a change's (each
     side one file or a quoted glob, times pooled per workload); exits
     non-zero when any common workload's pooled median slowed beyond
     ``--threshold`` (a ratio); a workload whose baseline IQR is wider
-    than that bound is reported unresolved and does not fail.
+    than that bound is reported unresolved and does not fail.  A side
+    holding no run-ledger rows exits 2.
 ``suites``
     List the available suites and their workloads.
 ``ledger``
     Query the persistent run ledger (``list`` one line per run,
-    ``show`` one full row as JSON, ``trend`` per-campaign wall-clock
+    ``show`` one full row as JSON, ``trend`` per-key wall-clock
     trajectory with a ``REGRESSED`` flag).  The ledger path comes from
-    ``--path`` or ``REPRO_OBS_LEDGER``.
+    ``--path`` or ``REPRO_OBS_LEDGER``; a bench file is a ledger too.
 ``top``
     Live htop-style dashboard over a running campaign service: tails
     the status file the scheduler publishes (``--status`` or
@@ -41,7 +42,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bench = sub.add_parser(
-        "bench", help="run a suite and write BENCH_<suite>.json")
+        "bench", help="run a suite, appending to BENCH_<suite>.jsonl")
     p_bench.add_argument("--suite", default="batched",
                          choices=sorted(_bench.SUITES),
                          help="workload suite (default: batched)")
@@ -57,9 +58,9 @@ def main(argv=None) -> int:
     p_cmp = sub.add_parser(
         "compare", help="gate candidate BENCH files against a baseline")
     p_cmp.add_argument("baseline",
-                       help="baseline BENCH_*.json, or a quoted glob")
+                       help="baseline BENCH_*.jsonl, or a quoted glob")
     p_cmp.add_argument("candidate",
-                       help="candidate BENCH_*.json, or a quoted glob")
+                       help="candidate BENCH_*.jsonl, or a quoted glob")
     p_cmp.add_argument("--threshold", type=float, default=1.15,
                        help="allowed median slowdown ratio (default: 1.15)")
 
@@ -72,7 +73,7 @@ def main(argv=None) -> int:
     p_led.add_argument("--path", default=None, metavar="FILE",
                        help="ledger JSONL (default: $REPRO_OBS_LEDGER)")
     p_led.add_argument("--key", default=None, metavar="KEY",
-                       help="restrict to one campaign content key")
+                       help="restrict to one key (content key or suite/workload)")
     p_led.add_argument("--index", type=int, default=None, metavar="N",
                        help="row number for `show` (default: newest)")
     p_led.add_argument("--threshold", type=float, default=1.15,

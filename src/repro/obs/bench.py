@@ -1,22 +1,25 @@
 """Benchmark-telemetry pipeline: timed workloads + solver counters,
-persisted and comparable.
+appended as run-ledger rows and comparable.
 
 ``python -m repro.obs bench`` runs a named suite of workloads — each a
 zero-argument callable shared with one of the ``benchmarks/bench_*.py``
 scenarios — one or more rounds apiece, every call inside its own
-enabled observation scope, and writes ``BENCH_<suite>.json``:
-per-workload raw times, median and IQR plus the scope's key counters
-(Newton iterations, LU factorisations, transient steps...).  The
-counters are the telemetry half: a timing regression with unchanged
+enabled observation scope, and appends one ``repro.run-ledger/1`` row
+per round to ``BENCH_<suite>.jsonl`` through
+:meth:`~repro.obs.ledger.RunLedger.record`: key ``<suite>/<workload>``,
+``elapsed_s``, the round's key counters (Newton iterations, LU
+factorisations, transient steps...) and the ``meta`` provenance block.
+The counters are the telemetry half: a timing regression with unchanged
 counters is machine noise; a timing regression *with* a counter jump
 (Newton iterations doubled, LinearMarch stopped engaging) is an engine
-regression and says where to look.
+regression and says where to look.  ``python -m repro.obs ledger
+trend --path BENCH_<suite>.jsonl`` reads the same rows.
 
 ``python -m repro.obs compare BASE CAND --threshold 1.15`` gates a
-change against its parent: each side is one bench file or a glob of
-them, every workload's ``times_s`` are pooled across a side's files,
-and the exit is non-zero when any common workload's pooled median
-slowed beyond the threshold ratio, with counter drifts annotated per
+change against its parent: each side is one ledger file or a glob of
+them, every key's ``elapsed_s`` are pooled across a side's rows, and
+the exit is non-zero when any common workload's pooled median slowed
+beyond the threshold ratio, with counter drifts annotated per
 workload.  A workload whose baseline times spread wider than the bound
 is reported unresolved instead of passed or failed.  Both sides are
 meant to come from the same runner, alternating single-round runs of
@@ -30,9 +33,7 @@ from __future__ import annotations
 
 import atexit
 import glob
-import json
 import os
-import platform
 import shutil
 import statistics
 import sys
@@ -40,10 +41,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.core import observe
-from repro.obs.ledger import KEY_COUNTER_PREFIXES, runtime_meta
-
-#: file schema tag (bump on incompatible layout changes).
-SCHEMA = "repro.bench/1"
+from repro.obs.ledger import LEDGER_SCHEMA, RunLedger, key_counters
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +50,7 @@ SCHEMA = "repro.bench/1"
 
 def _dictionary_campaign(batch_size: int) -> Callable[[], Any]:
     """A 64-fault dictionary campaign over a 10-section RC ladder,
-    scored sample-by-sample — the BENCH_batched speedup scenario.
+    scored sample-by-sample — the batched suite's speedup scenario.
     ``batch_size=1`` is the serial reference the Kx variants are
     measured against (benchmarks/bench_batched_dictionary.py times the
     same callables)."""
@@ -240,42 +238,11 @@ SUITES: Dict[str, Dict[str, Callable[[], Any]]] = {
 # runner
 
 
-def _key_counters(counter_values: Dict[str, int]) -> Dict[str, int]:
-    return {name: value for name, value in sorted(counter_values.items())
-            if name.startswith(KEY_COUNTER_PREFIXES)}
-
-
-def run_workload(fn: Callable[[], Any], rounds: int) -> Dict[str, Any]:
-    """Time ``fn`` for ``rounds`` rounds, each inside a fresh enabled
-    observation scope; returns the persisted per-workload record."""
-    times: List[float] = []
-    counters: Dict[str, int] = {}
-    for _ in range(rounds):
-        with observe() as handle:
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        # deterministic workloads produce identical counters per round;
-        # keep the last round's (they include the scope's full story).
-        counters = _key_counters(handle.metrics.counter_values())
-    q25 = q75 = times[0]
-    if rounds > 1:
-        q25, _, q75 = statistics.quantiles(times, n=4, method="inclusive")
-    return {
-        "rounds": rounds,
-        "median_s": statistics.median(times),
-        "iqr_s": q75 - q25,
-        "min_s": min(times),
-        "max_s": max(times),
-        "times_s": times,
-        "counters": counters,
-    }
-
-
 def run_suite(suite: str = "batched", ids: Optional[List[str]] = None,
               rounds: int = 3, out_dir: str = ".",
               echo: bool = True) -> str:
-    """Run a suite and write ``BENCH_<suite>.json``; returns the path."""
+    """Run a suite, appending one ledger row per timed round to
+    ``BENCH_<suite>.jsonl``; returns the path."""
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}; known: {sorted(SUITES)}")
     if rounds < 1:
@@ -292,61 +259,42 @@ def run_suite(suite: str = "batched", ids: Optional[List[str]] = None,
         # staged untimed, so a single-round run times the restart path
         # and not the staging
         _recovery_stage()
-    results: Dict[str, Any] = {}
+    ledger = RunLedger(os.path.join(out_dir, f"BENCH_{suite}.jsonl"))
     for name, fn in workloads.items():
         if echo:
             print(f"bench {suite}/{name} ({rounds} rounds)...",
                   flush=True)
-        rec = run_workload(fn, rounds)
-        results[name] = rec
+        times: List[float] = []
+        for _ in range(rounds):
+            with observe() as handle:
+                t0 = time.perf_counter()
+                fn()
+                times.append(time.perf_counter() - t0)
+            counters = key_counters(handle.metrics.counter_values())
+            ledger.record({"key": f"{suite}/{name}", "name": name,
+                           "elapsed_s": times[-1], "counters": counters})
         if echo:
-            print(f"  median {rec['median_s'] * 1e3:.2f} ms  "
-                  f"iqr {rec['iqr_s'] * 1e3:.2f} ms  "
-                  f"({len(rec['counters'])} counters)")
-    doc = {
-        "schema": SCHEMA,
-        "suite": suite,
-        "rounds": rounds,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        # provenance only — compare_benches reads doc["workloads"] and
-        # ignores this block, so each point stays attributable without
-        # making the gate depend on where it ran
-        "meta": runtime_meta(),
-        "workloads": results,
-    }
-    path = os.path.join(out_dir, f"BENCH_{suite}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+            print(f"  median {statistics.median(times) * 1e3:.2f} ms  "
+                  f"iqr {_rel_iqr(times):.1%}  ({len(counters)} counters)")
     if echo:
-        print(f"wrote {path}")
-    return path
+        print(f"appended {rounds * len(workloads)} rows to {ledger.path}")
+    return ledger.path
 
 
 # ---------------------------------------------------------------------------
 # comparison / regression gate
 
 
-def load_bench(path: str) -> Dict[str, Any]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != SCHEMA:
-        raise ValueError(f"{path}: unknown bench schema "
-                         f"{doc.get('schema')!r} (expected {SCHEMA})")
-    return doc
-
-
 def _pool(pattern: str) -> Dict[str, Dict[str, Any]]:
-    """Every workload's ``times_s`` pooled across the bench files that
-    ``pattern`` (a path or a glob) names, with the last file's counters."""
-    paths = sorted(glob.glob(pattern)) or [pattern]
+    """Every key's ``elapsed_s`` pooled across the ledger rows of the
+    files that ``pattern`` (a path or a glob) names, with the last
+    row's counters."""
     pooled: Dict[str, Dict[str, Any]] = {}
-    for path in paths:
-        for name, rec in load_bench(path)["workloads"].items():
-            entry = pooled.setdefault(name, {"times_s": []})
-            entry["times_s"].extend(rec["times_s"])
-            entry["counters"] = rec.get("counters", {})
+    for path in sorted(glob.glob(pattern)) or [pattern]:
+        for row in RunLedger(path).rows():
+            entry = pooled.setdefault(str(row.get("key")), {"times_s": []})
+            entry["times_s"].append(row["elapsed_s"])
+            entry["counters"] = row.get("counters") or {}
     for entry in pooled.values():
         entry["median_s"] = statistics.median(entry["times_s"])
     return pooled
@@ -362,10 +310,12 @@ def _rel_iqr(times: List[float]) -> float:
 
 def compare_benches(baseline: str, candidate: str,
                     threshold: float = 1.15, out=None) -> int:
-    """Compare two sets of BENCH_*.json files; returns the exit code.
+    """Compare two sets of ``BENCH_*.jsonl`` ledger files; returns the
+    exit code.
 
     Each side is a path or a glob; a workload's times are pooled across
-    its side's files before the median is taken.  A
+    its side's rows before the median is taken.  A side with no
+    ``repro.run-ledger/1`` rows exits 2.  A
     workload *regresses* when ``candidate_median / baseline_median >
     threshold``, unless the baseline's own spread (IQR over median) is
     wider than the bound: a ratio that noisy cannot tell a change from
@@ -377,6 +327,11 @@ def compare_benches(baseline: str, candidate: str,
     out = sys.stdout if out is None else out
     base = _pool(baseline)
     cand = _pool(candidate)
+    for side, pattern in ((base, baseline), (cand, candidate)):
+        if not side:
+            print(f"error: no {LEDGER_SCHEMA} rows in {pattern}",
+                  file=sys.stderr)
+            return 2
     common = sorted(set(base) & set(cand))
     if not common:
         print("error: no common workloads between the two sides",

@@ -1,19 +1,22 @@
-"""Persistent run ledger: one append-only JSONL row per campaign run.
+"""Persistent run ledger: the one append-only JSONL run record.
 
-Where :mod:`repro.obs.bench` records *benchmark* trajectory, the ledger
-records *production* trajectory — every campaign that completes appends
-a row keyed by its spec's ``content_key()`` with wall clock, verdict
-histogram, escalation rate, cache statistics and the solver counters
-the workers reported.  Rows accumulate across processes and sessions,
-so ``python -m repro.obs ledger trend`` can answer "is this exact
-campaign getting slower?" without any benchmark harness in the loop.
+Two writers append rows of one schema (``repro.run-ledger/1``): every
+campaign that completes appends a row keyed by its spec's
+``content_key()`` with wall clock, verdict histogram, escalation rate,
+cache statistics and the key counters of what it measured, and
+``python -m repro.obs bench`` appends one row per timed round keyed
+``<suite>/<workload>``.  Every row carries ``elapsed_s``, ``counters``
+and the ``meta`` provenance block, so benchmarks and real runs trend on
+the same axes: ``python -m repro.obs ledger trend`` answers "is this
+exact campaign getting slower?" and ``compare`` gates bench files, both
+through :meth:`RunLedger.rows`.
 
 Write discipline: a row is one ``json.dumps`` line appended under a
 process-local lock with ``flush`` + ``fsync``.  Single-line appends of
 this size are atomic on POSIX for practical purposes; readers skip (and
-count) any torn or corrupt line rather than failing, so a crashed
-writer can never poison the history.  The ledger is installed either
-explicitly (``Session(ledger=...)``, ``observe(ledger=...)``) or
+count) any torn, corrupt or foreign line rather than failing, so a
+crashed writer can never poison the history.  The ledger is installed
+either explicitly (``Session(ledger=...)``, ``observe(ledger=...)``) or
 ambiently via ``REPRO_OBS_LEDGER=/path`` — and it deliberately works
 with span/metric recording *off*, because one row per campaign costs
 nothing and history matters most for routine runs.
@@ -29,10 +32,10 @@ import statistics
 import subprocess
 import threading
 import time
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
-#: counter prefixes summed into each ledger row and persisted into
-#: BENCH_*.json (the telemetry half of both records).
+#: prefixes of the counters a row keeps (the telemetry half of the
+#: record, for campaign and bench rows alike).
 KEY_COUNTER_PREFIXES = ("solver.", "transient.", "mna.", "fastpath.",
                         "campaign.", "experiments.", "bist.", "batched.",
                         "surrogate.", "cache.", "service.")
@@ -80,22 +83,15 @@ def _runtime_meta() -> Dict[str, Any]:
     return meta
 
 
-def _solver_counters(outcomes: Iterable[Any]) -> Dict[str, int]:
-    """Sum the key solver counters across the per-outcome metric
-    snapshots workers shipped back ({} when the run was unobserved)."""
-    totals: Dict[str, int] = {}
-    for outcome in outcomes:
-        snap = getattr(outcome, "metrics", None)
-        if not snap:
-            continue
-        for name, value in snap.get("counters", {}).items():
-            if name.startswith(KEY_COUNTER_PREFIXES):
-                totals[name] = totals.get(name, 0) + int(value)
-    return dict(sorted(totals.items()))
+def key_counters(values: Dict[str, int]) -> Dict[str, int]:
+    """The :data:`KEY_COUNTER_PREFIXES` entries of a ``name -> count``
+    map, sorted by name."""
+    return {name: int(value) for name, value in sorted(values.items())
+            if name.startswith(KEY_COUNTER_PREFIXES)}
 
 
 class RunLedger:
-    """Append-only JSONL store of campaign-run rows.
+    """Append-only JSONL store of run rows (campaign runs, bench rounds).
 
     One instance per path; safe to share across threads (the scheduler's
     dispatcher appends concurrently with foreground runs).  Cross-process
@@ -110,10 +106,12 @@ class RunLedger:
 
     # -- writing -------------------------------------------------------
     def record(self, row: Dict[str, Any]) -> Dict[str, Any]:
-        """Stamp and append one row; returns the row as written."""
+        """Stamp (schema, wall clock, :func:`runtime_meta`) and append
+        one row; returns the row as written."""
         row = dict(row)
         row.setdefault("schema", LEDGER_SCHEMA)
         row.setdefault("wall", time.time())
+        row.setdefault("meta", runtime_meta())
         line = json.dumps(row, sort_keys=True, default=str)
         parent = os.path.dirname(self.path)
         with self._lock:
@@ -125,56 +123,11 @@ class RunLedger:
                 os.fsync(fh.fileno())
         return row
 
-    def record_campaign(self, result: Any, key: str,
-                        name: Optional[str] = None,
-                        prescreen: Optional[str] = None,
-                        job: Optional[str] = None) -> Dict[str, Any]:
-        """Build and append the row for one finished ``CampaignResult``."""
-        outcomes = list(getattr(result, "outcomes", ()))
-        n = len(outcomes)
-        n_prescreened = sum(1 for o in outcomes
-                            if getattr(o, "decided_by", "transient")
-                            != "transient")
-        verdicts = {
-            "detected": sum(1 for o in outcomes if o.detected),
-            "missed": sum(1 for o in outcomes
-                          if not o.detected and o.error is None),
-            "errors": sum(1 for o in outcomes if o.error is not None),
-            "timeouts": sum(1 for o in outcomes
-                            if getattr(o, "timed_out", False)),
-            "quarantined": sum(1 for o in outcomes
-                               if getattr(o, "quarantined", False)),
-            "prescreened": n_prescreened,
-            "cached": sum(1 for o in outcomes
-                          if getattr(o, "from_cache", False)),
-        }
-        cache_stats = getattr(result, "cache_stats", None)
-        row: Dict[str, Any] = {
-            "key": key,
-            "name": name,
-            "job": job,
-            "n_faults": n,
-            "coverage": getattr(result, "coverage", None),
-            "elapsed_s": getattr(result, "elapsed_s", None),
-            "workers": getattr(result, "workers", None),
-            "partial": bool(getattr(result, "partial", False)),
-            "verdicts": verdicts,
-            # escalation: of the faults the prescreen saw, how many
-            # needed the full transient anyway (None when no prescreen)
-            "escalation_rate": (1.0 - n_prescreened / n
-                                if prescreen and n else None),
-            "prescreen": prescreen,
-            "cache": cache_stats.to_dict() if cache_stats is not None
-                     else None,
-            "counters": _solver_counters(outcomes),
-            "meta": runtime_meta(),
-        }
-        return self.record(row)
-
     # -- reading -------------------------------------------------------
     def rows(self, key: Optional[str] = None) -> List[Dict[str, Any]]:
-        """All rows in append order (filtered by content key if given);
-        torn/corrupt lines are skipped and counted in ``self.corrupt``."""
+        """All rows in append order (filtered by key if given); torn,
+        corrupt and non-ledger lines (an old bench document, a queue
+        journal) are skipped and counted in ``self.corrupt``."""
         out: List[Dict[str, Any]] = []
         corrupt = 0
         try:
@@ -188,7 +141,8 @@ class RunLedger:
                     except ValueError:
                         corrupt += 1
                         continue
-                    if not isinstance(row, dict):
+                    if (not isinstance(row, dict)
+                            or row.get("schema") != LEDGER_SCHEMA):
                         corrupt += 1
                         continue
                     if key is None or row.get("key") == key:
@@ -228,16 +182,18 @@ def render_list(rows: List[Dict[str, Any]]) -> str:
         return "ledger is empty"
     lines = []
     for i, row in enumerate(rows):
-        verdicts = row.get("verdicts") or {}
         key = str(row.get("key") or "?")[:12]
         elapsed = row.get("elapsed_s")
         elapsed_txt = f"{elapsed:.3f}s" if isinstance(elapsed, (int, float)) \
             else "?"
+        # bench rows carry no verdicts
+        verdicts = row.get("verdicts")
+        detected = (f"{verdicts.get('detected', '?')}/"
+                    f"{row.get('n_faults', '?')} detected  "
+                    if verdicts is not None else "")
         lines.append(
             f"[{i}] {_fmt_wall(row.get('wall'))}  {key}  "
-            f"{row.get('name') or '-'}  "
-            f"{verdicts.get('detected', '?')}/{row.get('n_faults', '?')} "
-            f"detected  {elapsed_txt}")
+            f"{row.get('name') or '-'}  {detected}{elapsed_txt}")
     return "\n".join(lines)
 
 

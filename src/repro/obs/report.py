@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import html as _html
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import profile as _profile
 from repro.obs.export import chrome_trace
@@ -61,26 +61,24 @@ def _root_span_rows(tracer: Tracer) -> List[List[Any]]:
     return rows
 
 
-def _metric_sections(metrics: Metrics) -> List[str]:
-    parts: List[str] = []
-    if metrics.counters:
-        parts.append("counters:\n" + _text_table(
-            ("name", "value"),
-            [[n, c.value] for n, c in sorted(metrics.counters.items())]))
-    if metrics.gauges:
-        parts.append("gauges:\n" + _text_table(
-            ("name", "value"),
-            [[n, "-" if g.value is None else f"{g.value:.6g}"]
-             for n, g in sorted(metrics.gauges.items())]))
-    if metrics.histograms:
-        parts.append("histograms:\n" + _text_table(
-            ("name", "count", "mean", "min", "max"),
-            [[n, h.count,
-              "-" if h.mean is None else f"{h.mean:.3g}",
-              "-" if not h.count else f"{h.min:.3g}",
-              "-" if not h.count else f"{h.max:.3g}"]
-             for n, h in sorted(metrics.histograms.items())]))
-    return parts
+def _metric_tables(metrics: Metrics) -> List[Tuple[str, Sequence[str],
+                                                  List[List[Any]]]]:
+    """The non-empty ``(label, headers, rows)`` metric tables, shared by
+    the text and HTML renderers."""
+    tables = [
+        ("counters", ("name", "value"),
+         [[n, c.value] for n, c in sorted(metrics.counters.items())]),
+        ("gauges", ("name", "value"),
+         [[n, "-" if g.value is None else f"{g.value:.6g}"]
+          for n, g in sorted(metrics.gauges.items())]),
+        ("histograms", ("name", "count", "mean", "min", "max"),
+         [[n, h.count,
+           "-" if h.mean is None else f"{h.mean:.3g}",
+           "-" if not h.count else f"{h.min:.3g}",
+           "-" if not h.count else f"{h.max:.3g}"]
+          for n, h in sorted(metrics.histograms.items())]),
+    ]
+    return [table for table in tables if table[2]]
 
 
 def _event_section(events: Optional[EventLog], tail: int = 10) -> Optional[str]:
@@ -114,7 +112,8 @@ def render_text_report(title: str, tracer: Tracer, metrics: Metrics,
                      + report.table(top=top))
     else:
         parts.append("runs: none recorded (observability off or no runs)")
-    parts.extend(_metric_sections(metrics))
+    parts.extend(f"{label}:\n" + _text_table(headers, rows)
+                 for label, headers, rows in _metric_tables(metrics))
     ev = _event_section(events)
     if ev:
         parts.append(ev)
@@ -170,26 +169,9 @@ def render_html_report(title: str, tracer: Tracer, metrics: Metrics,
             f"<p>attributed {prof.attributed_s * 1e3:.3f} ms wall over a "
             f"{prof.window_s * 1e3:.3f} ms window "
             f"(coverage {100.0 * prof.coverage:.1f}%)</p>")
-    if metrics.counters:
-        sections.append("<h2>Counters</h2>")
-        sections.append(_html_table(
-            ("name", "value"),
-            [[n, c.value] for n, c in sorted(metrics.counters.items())]))
-    if metrics.gauges:
-        sections.append("<h2>Gauges</h2>")
-        sections.append(_html_table(
-            ("name", "value"),
-            [[n, "-" if g.value is None else f"{g.value:.6g}"]
-             for n, g in sorted(metrics.gauges.items())]))
-    if metrics.histograms:
-        sections.append("<h2>Histograms</h2>")
-        sections.append(_html_table(
-            ("name", "count", "mean", "min", "max"),
-            [[n, h.count,
-              "-" if h.mean is None else f"{h.mean:.3g}",
-              "-" if not h.count else f"{h.min:.3g}",
-              "-" if not h.count else f"{h.max:.3g}"]
-             for n, h in sorted(metrics.histograms.items())]))
+    for label, headers, rows in _metric_tables(metrics):
+        sections.append(f"<h2>{label.capitalize()}</h2>")
+        sections.append(_html_table(headers, rows))
     if events is not None and not events.is_empty():
         sections.append(f"<h2>Events ({len(events)} buffered, "
                         f"{events.dropped} dropped)</h2>")

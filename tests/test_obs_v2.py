@@ -4,7 +4,6 @@ campaign health and the benchmark-telemetry pipeline."""
 import io
 import json
 import os
-import statistics
 import subprocess
 import sys
 import time
@@ -17,6 +16,7 @@ from repro.faults import FaultCampaign, StuckAtFault
 from repro.obs import bench as obs_bench
 from repro.obs import export, profile
 from repro.obs.health import CampaignProgress, straggler_report
+from repro.obs.ledger import LEDGER_SCHEMA, RunLedger
 from repro.obs.log import EventLog
 from repro.obs.trace import Tracer
 from repro.service import CampaignSpec
@@ -571,16 +571,12 @@ def _toy_divider_campaign():
                          threshold=0.5).run(divider(), _divider_faults())
 
 
-def _bench_doc(times, counters=None, **extra):
-    """A synthetic BENCH file holding one workload ``w``."""
-    rec = {"median_s": statistics.median(times), "iqr_s": 0.0,
-           "times_s": list(times), "counters": counters or {}}
-    return dict({"schema": obs_bench.SCHEMA, "suite": "toy",
-                 "rounds": len(times), "workloads": {"w": rec}}, **extra)
-
-
-def _write(path, doc):
-    path.write_text(json.dumps(doc))
+def _bench_rows(path, times, counters=None, **extra):
+    """A synthetic BENCH file: one ledger row per time of workload ``w``."""
+    led = RunLedger(str(path))
+    for t in times:
+        led.record(dict({"key": "toy/w", "name": "w", "elapsed_s": t,
+                         "counters": counters or {}}, **extra))
     return str(path)
 
 
@@ -591,26 +587,30 @@ class TestBenchPipeline:
                             {"divider_campaign": _toy_divider_campaign})
         return "toy"
 
-    def test_bench_writes_json_with_median_iqr_counters(self, tmp_path,
-                                                       toy_suite):
+    def test_bench_appends_one_ledger_row_per_round(self, tmp_path,
+                                                    toy_suite):
         path = obs_bench.run_suite(suite=toy_suite, rounds=3,
                                    out_dir=str(tmp_path), echo=False)
-        assert os.path.basename(path) == "BENCH_toy.json"
-        doc = json.loads(open(path).read())
-        assert doc["schema"] == obs_bench.SCHEMA
-        rec = doc["workloads"]["divider_campaign"]
-        assert rec["median_s"] > 0
-        assert rec["iqr_s"] >= 0
-        assert len(rec["times_s"]) == 3
-        assert rec["counters"]["solver.newton_solves"] >= 1
-        assert rec["counters"]["campaign.faults_evaluated"] == 4
+        assert os.path.basename(path) == "BENCH_toy.jsonl"
+        rows = RunLedger(path).rows()
+        assert len(rows) == 3
+        for row in rows:
+            assert row["schema"] == LEDGER_SCHEMA
+            assert row["key"] == "toy/divider_campaign"
+            assert row["name"] == "divider_campaign"
+            assert row["elapsed_s"] > 0
+            assert row["counters"]["solver.newton_solves"] >= 1
+            assert row["counters"]["campaign.faults_evaluated"] == 4
+        # a second run appends to the same history
+        obs_bench.run_suite(suite=toy_suite, rounds=1,
+                            out_dir=str(tmp_path), echo=False)
+        assert len(RunLedger(path).rows()) == 4
 
     def test_single_round_record(self, tmp_path, toy_suite):
         path = obs_bench.run_suite(suite=toy_suite, rounds=1,
                                    out_dir=str(tmp_path), echo=False)
-        rec = json.loads(open(path).read())["workloads"]["divider_campaign"]
-        assert rec["times_s"] == [rec["median_s"]]
-        assert rec["iqr_s"] == 0.0
+        (row,) = RunLedger(path).rows()
+        assert row["elapsed_s"] > 0
 
     def test_bench_creates_out_dir_before_timing(self, tmp_path,
                                                  monkeypatch):
@@ -635,10 +635,10 @@ class TestBenchPipeline:
         assert seen == ["stage", "workload"]
 
     def test_compare_gates_synthetic_regression(self, tmp_path):
-        a = _write(tmp_path / "a.json",
-                   _bench_doc([1.0], {"solver.newton_solves": 10}))
-        b = _write(tmp_path / "b.json",
-                   _bench_doc([1.5], {"solver.newton_solves": 40}))
+        a = _bench_rows(tmp_path / "a.jsonl", [1.0],
+                        {"solver.newton_solves": 10})
+        b = _bench_rows(tmp_path / "b.jsonl", [1.5],
+                        {"solver.newton_solves": 40})
         out = io.StringIO()
         assert obs_bench.compare_benches(a, b, threshold=1.15, out=out) == 1
         report = out.getvalue()
@@ -650,15 +650,15 @@ class TestBenchPipeline:
 
     def test_compare_pools_times_across_files(self, tmp_path):
         counters = {"solver.newton_solves": 10}
-        _write(tmp_path / "base1.json", _bench_doc([1.0], counters))
-        _write(tmp_path / "base2.json", _bench_doc([1.02, 0.98], counters))
+        _bench_rows(tmp_path / "base1.jsonl", [1.0], counters)
+        _bench_rows(tmp_path / "base2.jsonl", [1.02, 0.98], counters)
         slow = {"solver.newton_solves": 20}
-        _write(tmp_path / "slow1.json", _bench_doc([1.3], slow))
-        _write(tmp_path / "slow2.json", _bench_doc([1.326, 1.274], slow))
-        base = str(tmp_path / "base*.json")
+        _bench_rows(tmp_path / "slow1.jsonl", [1.3], slow)
+        _bench_rows(tmp_path / "slow2.jsonl", [1.326, 1.274], slow)
+        base = str(tmp_path / "base*.jsonl")
         out = io.StringIO()
         # pooled medians 1.0 vs 1.3: a 1.3x slowdown fails the gate
-        assert obs_bench.compare_benches(base, str(tmp_path / "slow*.json"),
+        assert obs_bench.compare_benches(base, str(tmp_path / "slow*.jsonl"),
                                          threshold=1.15, out=out) == 1
         report = out.getvalue()
         assert "1.000000" in report and "1.300000" in report
@@ -673,10 +673,10 @@ class TestBenchPipeline:
     def test_compare_reports_a_noisy_baseline_unresolved(self, tmp_path):
         # baseline IQR 0.5 of its median: a 1.3x median ratio is noise,
         # reported but not failed
-        base = _write(tmp_path / "base.json",
-                      _bench_doc([0.5, 0.75, 1.0, 1.25, 1.5]))
-        cand = _write(tmp_path / "cand.json",
-                      _bench_doc([0.8, 1.1, 1.3, 1.5, 1.7]))
+        base = _bench_rows(tmp_path / "base.jsonl",
+                           [0.5, 0.75, 1.0, 1.25, 1.5])
+        cand = _bench_rows(tmp_path / "cand.jsonl",
+                           [0.8, 1.1, 1.3, 1.5, 1.7])
         out = io.StringIO()
         assert obs_bench.compare_benches(base, cand, threshold=1.15,
                                          out=out) == 0
@@ -685,25 +685,61 @@ class TestBenchPipeline:
         assert "0 of 1 workload(s) within the 1.15x gate" in report
         assert "1 workload(s) unresolved" in report
 
+    def test_compare_exits_2_on_files_without_ledger_rows(self, tmp_path,
+                                                          capsys):
+        from repro.service.queue import PersistentJobQueue
+        rows = _bench_rows(tmp_path / "rows.jsonl", [1.0])
+        # an old single-document bench file and a queue journal: JSON,
+        # but no run-ledger rows
+        old = tmp_path / "BENCH_batched.json"
+        old.write_text(json.dumps({
+            "schema": "repro.bench/1", "suite": "batched",
+            "workloads": {"w": {"times_s": [1.0], "counters": {}}}},
+            indent=2))
+        journal = tmp_path / "queue.jsonl"
+        PersistentJobQueue(str(journal)).submit(
+            "job1", CampaignSpec(target=divider(),
+                                 faults=tuple(_divider_faults())))
+        for foreign in (str(old), str(journal)):
+            assert obs_bench.compare_benches(foreign, rows,
+                                             out=io.StringIO()) == 2
+            assert foreign in capsys.readouterr().err
+            assert obs_bench.compare_benches(rows, foreign,
+                                             out=io.StringIO()) == 2
+        assert obs_bench.compare_benches(
+            str(tmp_path / "missing*.jsonl"), rows, out=io.StringIO()) == 2
+
     def test_bench_stamps_runtime_meta(self, tmp_path, toy_suite):
         import platform
         path = obs_bench.run_suite(suite=toy_suite, rounds=1,
                                    out_dir=str(tmp_path), echo=False)
-        doc = json.loads(open(path).read())
-        meta = doc["meta"]
+        meta = RunLedger(path).rows()[0]["meta"]
         assert set(meta) >= {"hostname", "python", "git_commit",
                              "git_dirty", "numpy"}
         assert meta["python"] == platform.python_version()
 
     def test_compare_ignores_meta(self, tmp_path):
-        a = _write(tmp_path / "a.json", _bench_doc(
-            [1.0], meta={"hostname": "box-a", "git_commit": "aaaa"}))
-        b = _write(tmp_path / "b.json", _bench_doc(
-            [1.0], meta={"hostname": "box-b", "git_commit": "bbbb"}))
+        a = _bench_rows(tmp_path / "a.jsonl", [1.0],
+                        meta={"hostname": "box-a", "git_commit": "aaaa"})
+        b = _bench_rows(tmp_path / "b.jsonl", [1.0],
+                        meta={"hostname": "box-b", "git_commit": "bbbb"})
         # different provenance, identical timings: provenance is
         # recorded for humans, never gated on
         assert obs_bench.compare_benches(a, b, threshold=1.15,
                                          out=io.StringIO()) == 0
+
+    def test_ledger_trend_reads_a_bench_file(self, tmp_path, monkeypatch,
+                                             capsys):
+        from repro.obs.__main__ import main as obs_main
+        monkeypatch.setitem(obs_bench.SUITES, "toy",
+                            {"first": lambda: None, "second": lambda: None})
+        path = obs_bench.run_suite(suite="toy", rounds=2,
+                                   out_dir=str(tmp_path), echo=False)
+        assert obs_main(["ledger", "trend", "--path", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert [line.split()[1] for line in lines] == ["first", "second"]
+        assert all("runs=2" in line for line in lines)
 
     def test_cli_bench_and_compare(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
@@ -714,11 +750,11 @@ class TestBenchPipeline:
              "--out", str(out), "--quiet"],
             capture_output=True, text=True, env=env, cwd=REPO_ROOT)
         assert run.returncode == 0, run.stderr
-        bench_file = out / "BENCH_batched.json"
+        bench_file = out / "BENCH_batched.jsonl"
         assert bench_file.exists()
         cmp_run = subprocess.run(
             [sys.executable, "-m", "repro.obs", "compare",
-             str(bench_file), str(tmp_path / "*" / "BENCH_batched.json")],
+             str(bench_file), str(tmp_path / "*" / "BENCH_batched.jsonl")],
             capture_output=True, text=True, env=env, cwd=REPO_ROOT)
         assert cmp_run.returncode == 0, cmp_run.stderr
         assert "within the" in cmp_run.stdout

@@ -474,6 +474,41 @@ class TestRunLedger:
         assert len(row["key"]) == 64                 # sha-256 content key
         assert row["meta"]["python"]
 
+    @pytest.mark.parametrize("route", [
+        "campaign-workers1", "campaign-workers2", "campaign-batch8",
+        "campaign-prescreen", "scheduler-workers1", "scheduler-workers2",
+        "scheduler-prescreen"])
+    def test_campaign_row_counters_equal_the_scope(self, tmp_path, route):
+        # one observed job alone in a fresh scope: its row's engine
+        # counters are the scope's, fault-free reference and prescreen
+        # included, whichever route ran it
+        entry, _, option = route.partition("-")
+        spec = _dictionary_spec(
+            prescreen="surrogate" if option == "prescreen" else None)
+        workers = int(option[-1]) if option.startswith("workers") else 1
+        led = RunLedger(str(tmp_path / "ledger.jsonl"))
+        with obs.observe(ledger=led) as handle:
+            if entry == "campaign":
+                FaultCampaign(spec.technique, spec.detector,
+                              threshold=spec.threshold, workers=workers,
+                              batch_size=8 if option == "batch8" else 1
+                              ).run(spec=spec)
+            else:
+                sched = CampaignScheduler(workers=workers)
+                try:
+                    sched.submit(spec).result()
+                finally:
+                    sched.close()
+        (row,) = led.rows()
+        engine = ("solver.", "transient.", "mna.", "fastpath.", "batched.",
+                  "surrogate.")
+        scope = {name: value for name, value
+                 in handle.metrics.counter_values().items()
+                 if name.startswith(engine)}
+        assert scope["solver.newton_solves"] >= 9     # reference + 8 faults
+        assert {name: value for name, value in row["counters"].items()
+                if name.startswith(engine)} == scope
+
     def test_ledger_works_with_recording_off(self, tmp_path):
         led = RunLedger(str(tmp_path / "ledger.jsonl"))
         saved = OBS.ledger
@@ -546,7 +581,6 @@ class TestRunLedger:
     def test_runtime_meta_asks_git_once_per_process(self, tmp_path,
                                                     monkeypatch):
         import subprocess
-        import types
 
         import repro
         from repro.obs import ledger as ledger_mod
@@ -561,9 +595,8 @@ class TestRunLedger:
         ledger_mod._runtime_meta.cache_clear()
         try:
             led = RunLedger(str(tmp_path / "ledger.jsonl"))
-            result = types.SimpleNamespace(outcomes=[])
-            first = led.record_campaign(result, key="k")
-            second = led.record_campaign(result, key="k")
+            first = led.record({"key": "k"})
+            second = led.record({"key": "k"})
         finally:
             ledger_mod._runtime_meta.cache_clear()
         # at most `git rev-parse` + `git status`, both asked about the
