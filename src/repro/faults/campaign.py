@@ -17,8 +17,8 @@ worker-utilisation gauge.
 Campaigns are also *resilient* (see DESIGN.md, "Resilience
 architecture"): :meth:`FaultCampaign.run` accepts per-fault and
 campaign-wide deadlines, periodic atomic checkpointing with
-``resume=True``, and — in pooled mode, which runs on the shard
-executor of :class:`~repro.service.scheduler.CampaignScheduler` —
+``resume=True``.  Every run goes through the shard executor of
+:class:`~repro.service.scheduler.CampaignScheduler`; in pooled mode it
 survives hung and crashed worker processes by killing/rebuilding the
 pool, re-running in-flight faults and quarantining faults that kill a
 worker twice.  Everything
@@ -47,7 +47,7 @@ from repro.obs.ledger import key_counters
 from repro.obs.metrics import Metrics
 from repro.obs.trace import Span, TraceContext, stamp_pids
 from repro.resilience.checkpoint import CampaignCheckpoint
-from repro.resilience.deadline import Deadline, deadline_scope, installed
+from repro.resilience.deadline import Deadline, deadline_scope
 from repro.resilience.failure import FailureReport
 from repro.service.spec import CampaignSpec
 
@@ -561,9 +561,9 @@ class _Shard:
 class _JobRun:
     """One campaign job, from staging to its :class:`CampaignResult`.
 
-    Both execution routes share it.  :meth:`FaultCampaign.run` stages a
-    job and runs its shards inline on the caller's thread, or hands them
-    to the scheduler's shard executor when ``workers > 1``;
+    Both entry points share it.  :meth:`FaultCampaign.run` stages a job
+    and hands it to the scheduler's shard executor on the caller's
+    thread (a process pool when ``workers > 1`` and the work pickles);
     :class:`~repro.service.scheduler.CampaignScheduler` stages every
     submitted job the same way.  Staging restores the checkpoint,
     replays the result cache and runs the surrogate prescreen; the
@@ -630,9 +630,9 @@ class _JobRun:
                                            every=spec.checkpoint_every)
         #: ``(t_start, n_in, n_escalated)`` of the prescreen pass, if any
         self.prescreened: Optional[tuple] = None
-        #: whether shards go to a process pool (else threads or the
-        #: caller's thread): decided by :meth:`build_shards`; until then
-        #: a scheduler's reference shard tries the pool
+        #: whether shards go to a process pool (else the executor loop
+        #: runs them on its own thread): decided by :meth:`build_shards`;
+        #: until then a scheduler's reference shard tries the pool
         self.pooled = True
         # scheduler-side state: the job handle, admission seq, the
         # detached ``service.job`` span
@@ -763,26 +763,6 @@ class _JobRun:
         if shard.batched:
             return functools.partial(self.evaluate_batch, faults)
         return functools.partial(_evaluate_shard, self.evaluate, faults)
-
-    def run_inline(self) -> None:
-        """Evaluate every shard on the calling thread, the campaign
-        deadline installed so the engine's cooperative checks honour
-        it; a shard is not started once the deadline has passed."""
-        dl = self.deadline
-        with installed(dl):
-            while self.ready:
-                if dl is not None and dl.expired():
-                    self.failures.deadline_hit = True
-                    return
-                shard = self.ready.popleft()
-                try:
-                    payload = self.shard_call(shard)()
-                except DeadlineExceeded as exc:
-                    if dl is not None and exc.deadline is dl:
-                        self.failures.deadline_hit = True
-                        return
-                    raise
-                self.land(shard.indices, payload)
 
     def run_counted(self, call: Callable[[], Any]) -> Any:
         """``call()`` on the calling thread, in the caller's scope, with
@@ -1231,12 +1211,10 @@ class FaultCampaign:
                         OBS.metrics.counter(
                             "campaign.pickle_fallbacks").inc()
                     n_workers = 1
-                if job.pooled:
-                    from repro.service.scheduler import CampaignScheduler
-                    CampaignScheduler(workers=n_workers, shard_size=1,
-                                      name="campaign")._drive(job)
-                else:
-                    job.run_inline()
+                # without a pool, the loop runs the shards on this thread
+                from repro.service.scheduler import CampaignScheduler
+                CampaignScheduler(workers=n_workers, shard_size=1,
+                                  name="campaign")._drive(job)
             result = job.finish(n_workers)
             if OBS.enabled:
                 _merge_obs(result, sp)

@@ -16,8 +16,8 @@ timeout outcome and continue) from "the whole campaign's budget ran
 out" (stop evaluating and mark the result partial).
 
 Checks are placed where the engine actually spends its time: every
-Newton iteration, every transient step, and every 256 steps of the
-vectorised linear march.
+Newton iteration, every transient step, and in the vectorised linear
+march once after its factorisation, then every 256 steps.
 """
 
 from __future__ import annotations

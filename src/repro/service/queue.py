@@ -49,6 +49,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.obs.core import OBS
 from repro.service.spec import CampaignSpec
 
 #: journal record schema tag; bump on incompatible layout changes.
@@ -137,6 +138,8 @@ class PersistentJobQueue:
             fh.write(line + "\n")
             fh.flush()
             os.fsync(fh.fileno())
+        if OBS.enabled:
+            OBS.metrics.counter("service.journal_appends").inc()
 
     def submit(self, job_id: str, spec: CampaignSpec,
                priority: int = 0) -> JobRecord:
@@ -280,6 +283,8 @@ class PersistentJobQueue:
                 self._quarantine(good, bad)
             self.corrupt = len(bad)
             self.records = records
+        if good and OBS.enabled:
+            OBS.metrics.counter("service.journal_replayed").inc(len(good))
         return records
 
     def _quarantine(self, good: List[str], bad: List[str]) -> None:

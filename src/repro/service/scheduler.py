@@ -11,10 +11,13 @@ one).  The dispatcher loop runs on a dedicated background thread, so
 where it chooses to (``job.result()`` / ``gather()``).
 
 The shard executor — pool lifecycle, dispatch, crash blame, hang and
-deadline kills — is the only code in the package that drives a process
-pool: ``FaultCampaign(workers=N).run`` hands its one job to the same
-loop (:meth:`CampaignScheduler._drive`, on the caller's thread).  Jobs
-are staged and recorded by the campaign's own per-job object
+deadline kills — is the only code in the package that runs a
+campaign's shards: ``FaultCampaign.run`` hands its one job to the same
+loop (:meth:`CampaignScheduler._drive`, on the caller's thread).  The
+loop runs the shards of a job that does not use the pool (its work does
+not pickle, or ``workers=1``) itself, one per turn; ``OBS`` and
+``DEADLINE`` are process-wide, so its thread is the one that evaluates.
+Jobs are staged and recorded by the campaign's own per-job object
 (:class:`repro.faults.campaign._JobRun`) and evaluated by the very same
 per-fault functions, so everything an offline campaign guarantees
 carries over:
@@ -53,7 +56,7 @@ import warnings
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.errors import CampaignError
+from repro.errors import CampaignError, DeadlineExceeded
 from repro.faults.campaign import (
     CampaignResult,
     _JobRun,
@@ -63,6 +66,7 @@ from repro.faults.campaign import (
 from repro.obs.core import OBS, event
 from repro.obs.core import span as obs_span
 from repro.obs.trace import Span, TraceContext
+from repro.resilience.deadline import installed
 from repro.service.cache import ResultCache
 from repro.service.queue import JobRecord, PersistentJobQueue
 from repro.service.spec import CampaignSpec
@@ -161,8 +165,8 @@ class CampaignScheduler:
     workers:
         Worker processes shared by all jobs (default: CPU count - 1,
         at least 1, at most 8).  Jobs whose technique, detector,
-        target, faults or fault-free measurement cannot pickle run on a
-        thread pool of the same width instead.
+        target, faults or fault-free measurement cannot pickle run on
+        the dispatcher thread instead, one shard per loop turn.
     cache:
         Default :class:`~repro.service.cache.ResultCache` consulted for
         every job that does not bring its own (``spec.cache`` wins).
@@ -223,7 +227,6 @@ class CampaignScheduler:
         self._wake: concurrent.futures.Future = concurrent.futures.Future()
         self._closing = False
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
-        self._threads: Optional[concurrent.futures.ThreadPoolExecutor] = None
         self._inflight: Dict[concurrent.futures.Future,
                              Tuple[_JobRun, _Shard, float]] = {}
         self._active: List[_JobRun] = []
@@ -406,9 +409,8 @@ class CampaignScheduler:
 
     def _drive(self, jr: _JobRun) -> None:
         """Run one staged job to completion on the calling thread, under
-        the service's dispatch, crash, hang and deadline protocol (the
-        pooled route of :meth:`FaultCampaign.run`); re-raises the
-        job's error."""
+        the service's dispatch, crash, hang and deadline protocol (every
+        route of :meth:`FaultCampaign.run`); re-raises the job's error."""
         jr.job = CampaignJob(self.name, jr.spec, 0)
         jr.job.state = JobState.RUNNING
         self._active.append(jr)
@@ -427,21 +429,6 @@ class CampaignScheduler:
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
-        if self._threads is not None:
-            self._threads.shutdown(wait=False, cancel_futures=True)
-            self._threads = None
-
-    def _executor(self, jr: _JobRun) -> concurrent.futures.Executor:
-        if jr.pooled:
-            if self._pool is None:
-                self._pool = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=self.workers)
-            return self._pool
-        if self._threads is None:
-            self._threads = concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix=f"{self.name}-local")
-        return self._threads
 
     def _kill_pool(self) -> None:
         pool = self._pool
@@ -562,12 +549,17 @@ class CampaignScheduler:
                 jr.failures.deadline_hit = True
                 jr.ready.clear()
                 # a hung shard must not hold the job past its deadline
-                kill = kill or (jr.pooled and jr.inflight > 0)
+                kill = kill or jr.inflight > 0
         if kill:
             self._break_pool([])
 
-    def _next_shard(self) -> Optional[Tuple[_JobRun, _Shard]]:
-        candidates = [jr for jr in self._active if jr.ready]
+    def _next_shard(self, pool_full: bool = False, local_taken: bool = False
+                    ) -> Optional[Tuple[_JobRun, _Shard]]:
+        """Fair-share pick of a ready shard, skipping pooled jobs when the
+        pool is full and in-process jobs once one is taken this turn."""
+        candidates = [jr for jr in self._active if jr.ready
+                      and not (pool_full and jr.pooled)
+                      and not (local_taken and not jr.pooled)]
         if not candidates:
             return None
         jr = min(candidates,
@@ -575,14 +567,19 @@ class CampaignScheduler:
         return jr, jr.ready.popleft()
 
     def _fill_slots(self) -> None:
-        # while a crash suspect remains, one shard at a time: only a
-        # shard that crashes alone names its fault
-        while len(self._inflight) < (
+        """Submit ready shards while the pool has free slots, then run
+        at most one shard of an in-process job on this thread."""
+        local: Optional[Tuple[_JobRun, _Shard]] = None
+        while True:
+            # while a crash suspect remains, one shard at a time: only a
+            # shard that crashes alone names its fault
+            full = len(self._inflight) >= (
                 1 if any(jr.crash_counts for jr in self._active)
-                else self.workers):
-            pick = self._next_shard()
+                else self.workers)
+            pick = self._next_shard(pool_full=full,
+                                    local_taken=local is not None)
             if pick is None:
-                return
+                break
             jr, shard = pick
             if shard.kind == "faults" and jr.cache is not None:
                 # dispatch-time recheck: a concurrent job may have
@@ -590,14 +587,6 @@ class CampaignScheduler:
                 shard = self._strip_cached(jr, shard)
                 if shard is None:
                     continue
-            try:
-                fut = self._executor(jr).submit(jr.shard_call(shard))
-            except concurrent.futures.BrokenExecutor:
-                # a worker died since the last wait; this shard never ran
-                jr.ready.appendleft(shard)
-                self._handle_crash([])
-                continue
-            jr.inflight += 1
             if shard.kind == "faults":
                 jr.dispatched += len(shard.indices)
             if jr.job_span is not None:
@@ -606,7 +595,41 @@ class CampaignScheduler:
                                          "kind": shard.kind,
                                          "n_faults": len(shard.indices)})
                 shard.span.pid = os.getpid()
+            if not jr.pooled:
+                local = (jr, shard)
+                continue
+            if self._pool is None:
+                self._pool = concurrent.futures.ProcessPoolExecutor(
+                    max_workers=self.workers)
+            try:
+                fut = self._pool.submit(jr.shard_call(shard))
+            except concurrent.futures.BrokenExecutor:
+                # a worker died since the last wait; this shard never ran
+                jr.requeue(shard)
+                self._handle_crash([])
+                continue
+            jr.inflight += 1
             self._inflight[fut] = (jr, shard, time.monotonic())
+        if local is not None:
+            self._run_local(*local)
+
+    def _run_local(self, jr: _JobRun, shard: _Shard) -> None:
+        """Evaluate a shard of an in-process job on this thread, under
+        the job's campaign deadline: when it fires the shard is
+        discarded (the next :meth:`_sweep_deadlines` stops the job);
+        any other error fails the job."""
+        try:
+            with installed(jr.deadline):
+                payload = jr.shard_call(shard)()
+        except Exception as exc:  # noqa: BLE001 - fails this job only
+            if (isinstance(exc, DeadlineExceeded) and jr.deadline is not None
+                    and exc.deadline is jr.deadline):
+                self._close_shard_span(jr, shard, failed="deadline")
+            else:
+                self._close_shard_span(jr, shard, failed="exception")
+                self._fail_job(jr, exc)
+            return
+        self._land(jr, shard, payload)
 
     def _strip_cached(self, jr: _JobRun,
                       shard: _Shard) -> Optional[_Shard]:
@@ -643,6 +666,8 @@ class CampaignScheduler:
             if jr.deadline is not None and not jr.failures.deadline_hit:
                 waits.append(jr.deadline.remaining())
         wait_s = max(0.0, min(waits)) + 0.02 if waits else 0.5
+        if any(jr.ready and not jr.pooled for jr in self._active):
+            wait_s = 0.0   # an in-process shard is due next turn
         futures = set(self._inflight)
         if wake is not None:
             futures.add(wake)
@@ -665,11 +690,11 @@ class CampaignScheduler:
                 continue
             except Exception as exc:  # noqa: BLE001 - fails this job only
                 self._close_shard_span(jr, shard, failed="exception")
-                if (shard.kind == "ref" and jr.pooled and self._live(jr)
+                if (shard.kind == "ref" and self._live(jr)
                         and isinstance(exc, _PICKLE_ERRORS)):
                     # a technique, target or measurement that does not
-                    # pickle: compute the reference on the thread pool
-                    # (a technique that itself raised fails the job there)
+                    # pickle: compute the reference in-process (a
+                    # technique that itself raised fails the job there)
                     jr.pooled = False
                     jr.requeue(shard)
                     continue
@@ -718,17 +743,16 @@ class CampaignScheduler:
 
     def _handle_crash(self, crashed: List[Tuple[_JobRun, _Shard]]) -> None:
         """A worker died.  A dead worker fails every future of its pool,
-        so blame cannot be narrowed: every pooled in-flight shard takes
+        so blame cannot be narrowed: every in-flight shard takes
         a strike and its faults are re-queued one per shard.  While a
         suspect remains :meth:`_fill_slots` keeps one shard in flight,
         so only the poison pill crashes again — alone — and is
         quarantined at ``_QUARANTINE_AFTER`` strikes; innocents complete
         and are exonerated."""
-        for fut, (jr, shard, _) in list(self._inflight.items()):
-            if jr.pooled:
-                del self._inflight[fut]
-                jr.inflight -= 1
-                crashed.append((jr, shard))
+        for jr, shard, _ in self._inflight.values():
+            jr.inflight -= 1
+            crashed.append((jr, shard))
+        self._inflight.clear()
         self._kill_pool()
         struck: List[_JobRun] = []
         # highest indices first: strike() re-queues at the front
@@ -752,14 +776,11 @@ class CampaignScheduler:
     def _break_pool(self, hit: List[_JobRun]) -> None:
         """Kill the shared pool over a hang or a campaign deadline.  The
         culprits are already out of flight (``hit`` lists their jobs);
-        every other pooled in-flight shard is innocent and re-queued
+        every other in-flight shard is innocent and re-queued
         intact, with no strike — unless its job is itself past its
         deadline, when it is dropped."""
         self._kill_pool()
-        for fut, (jr, shard, _) in list(self._inflight.items()):
-            if not jr.pooled:
-                continue
-            del self._inflight[fut]
+        for jr, shard, _ in self._inflight.values():
             jr.inflight -= 1
             if not self._live(jr):
                 self._close_shard_span(jr, shard, failed="dropped")
@@ -768,6 +789,7 @@ class CampaignScheduler:
             jr.requeue(shard)
             if jr not in hit:
                 hit.append(jr)
+        self._inflight.clear()
         self._count_pool_kill(hit)
 
     @staticmethod
@@ -785,8 +807,7 @@ class CampaignScheduler:
         now = time.monotonic()
         hung = [(fut, jr, shard, t0)
                 for fut, (jr, shard, t0) in self._inflight.items()
-                if jr.pooled
-                and (budget := jr.shard_budget(shard)) is not None
+                if (budget := jr.shard_budget(shard)) is not None
                 and now - t0 > budget]
         if not hung:
             return

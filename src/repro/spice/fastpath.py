@@ -351,10 +351,13 @@ def recur(step: Callable[[np.ndarray, np.ndarray], Any],
     writes the coupling term into ``out``.  One loop serves the dense
     and sparse K = 1 marches and the batched ``(K, n)`` stack, so each
     grid point adds the same terms in the same order on every route."""
+    # Cooperative cancellation: once after the march's setup (its
+    # factorisation may have used up the budget), then amortised to one
+    # clock read per 256 recurrence steps so the hot loop stays hot.
+    if DEADLINE.active is not None:
+        DEADLINE.active.check(label)
     x = x_all[0]
     for k in range(1, len(times)):
-        # Cooperative cancellation: amortised to one clock read per
-        # 256 recurrence steps so the march's hot loop stays hot.
         if DEADLINE.active is not None and not (k & 0xFF):
             DEADLINE.active.check(label)
         row = x_all[k]

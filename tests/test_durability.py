@@ -17,6 +17,8 @@ import time
 
 import pytest
 
+from repro.obs.core import observe
+from repro.obs.ledger import key_counters
 from repro.resilience.chaos import (
     ChaosError,
     ChaosProcess,
@@ -117,6 +119,17 @@ class TestPersistentQueue:
         rec = replayed.get("svc-job1")
         assert rec.state == "submitted" and rec.priority == 2
         assert rec.spec().content_key() == record.key
+
+    def test_journal_work_is_counted(self, tmp_path):
+        path = str(tmp_path / "q.jsonl")
+        with observe() as handle:
+            queue = PersistentJobQueue(path)         # empty: no replay
+            queue.submit("a", _spec().resolved())
+            queue.submit("b", _spec().resolved())
+            queue.mark("a", "dispatched", seq=0)
+            PersistentJobQueue(path)
+        assert key_counters(handle.metrics.counter_values()) == {
+            "service.journal_appends": 3, "service.journal_replayed": 3}
 
     def test_state_machine_and_depth(self, tmp_path):
         queue = PersistentJobQueue(str(tmp_path / "q.jsonl"))

@@ -634,6 +634,19 @@ class TestBenchPipeline:
                             out_dir=str(tmp_path), echo=False)
         assert seen == ["stage", "workload"]
 
+    def test_recovery_rows_count_journal_work(self, tmp_path):
+        # the journal rows carry counters, so compare can annotate drift
+        path = obs_bench.run_suite(
+            suite="recovery",
+            ids=["journal_submit_100", "journal_replay_8jobs"], rounds=1,
+            out_dir=str(tmp_path), echo=False)
+        counters = {row["name"]: row["counters"]
+                    for row in RunLedger(path).rows()}
+        assert counters == {
+            "journal_submit_100": {"service.journal_appends": 100},
+            "journal_replay_8jobs": {"service.journal_replayed": 8},
+        }
+
     def test_compare_gates_synthetic_regression(self, tmp_path):
         a = _bench_rows(tmp_path / "a.jsonl", [1.0],
                         {"solver.newton_solves": 10})

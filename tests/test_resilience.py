@@ -24,6 +24,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.faults import FaultCampaign, StuckAtFault
+from repro.faults.dictionary import dictionary_ladder
 from repro.obs.core import observe
 from repro.resilience import (
     CampaignCheckpoint,
@@ -226,6 +227,26 @@ class TestDeadline:
         with installed(d):
             with pytest.raises(DeadlineExceeded):
                 dc_operating_point(ckt)
+
+    @pytest.mark.parametrize("engine", ["linear_march",
+                                        "sparse_linear_march"])
+    def test_expired_deadline_stops_linear_march_before_step_one(
+            self, engine, monkeypatch):
+        # the march checks once after its inv/splu setup, so a march
+        # shorter than one 256-step stride still honours the budget
+        if engine == "sparse_linear_march":
+            monkeypatch.setenv("REPRO_SPARSE_THRESHOLD", "1")
+        ladder = dictionary_ladder(n_sections=6)
+        assert transient(ladder, 2e-4, 1e-6).stats["engine"] == engine
+        d = Deadline(1e-4, label="march")
+        time.sleep(2e-3)
+        with observe() as handle:
+            with installed(d):
+                with pytest.raises(DeadlineExceeded) as exc_info:
+                    transient(ladder, 2e-4, 1e-6)
+        assert exc_info.value.deadline is d
+        assert not any("march_steps" in name for name
+                       in handle.metrics.counter_values())
 
     def test_cooperative_check_in_transient(self):
         ckt = divider()
@@ -495,6 +516,26 @@ class TestCampaignResilience:
         assert rep.skipped == [f.describe()
                                for f in faults[len(res.outcomes):]]
         assert res.to_dict()["failures"]["deadline_hit"] is True
+
+    def test_campaign_deadline_stops_in_process_scheduler_job(self):
+        # a job that cannot pickle runs its shards on the dispatcher
+        # thread, under its campaign deadline: the march's cooperative
+        # checks end the shard instead of letting it run out
+        def closure_technique(ckt):          # closures cannot pickle
+            return slow_transient_technique(ckt)
+
+        faults = mid_faults(4)
+        t0 = time.perf_counter()
+        with CampaignScheduler(workers=2) as sched:
+            res = sched.submit(CampaignSpec(
+                technique=closure_technique, detector=delta_detector,
+                target=divider(), faults=tuple(faults), reference=2.0,
+                campaign_deadline_s=0.05)).result(timeout=60)
+        assert time.perf_counter() - t0 < 5.0
+        rep = res.failure_report()
+        assert res.partial and rep.deadline_hit
+        assert rep.skipped == [f.describe()
+                               for f in faults[len(res.outcomes):]]
 
     @pytest.mark.chaos
     @pooled_entry_points

@@ -16,6 +16,7 @@ Pins the service contracts from the API redesign:
 
 import json
 import os
+import threading
 from collections import deque
 from types import SimpleNamespace
 
@@ -33,6 +34,7 @@ from repro.faults.dictionary import (
 from repro.faults.model import StuckAtFault
 from repro.obs.core import OBS, observe
 from repro.obs.ledger import RunLedger
+from repro.resilience.deadline import DEADLINE
 from repro.service.cache import CACHE_SCHEMA, fault_key
 from repro.session import RunResult
 from repro.spice import Circuit, dc_operating_point
@@ -101,6 +103,28 @@ def _unpicklable_mid(ckt):
 
 def _unpicklable_shift(ref, m):
     return _shift_detector(ref.v, m.v)
+
+
+def _ladder_technique():
+    return TransientSignatureTechnique(t_stop=2e-4, dt=1e-6, node="n3")
+
+
+def _closure(technique):
+    """``technique`` wrapped in a local function, which cannot pickle."""
+    def closure_technique(ckt):
+        return technique(ckt)
+    return closure_technique
+
+
+def _ladder_spec(technique, **overrides):
+    """8 RC-ladder faults: each fault, and the reference, runs one
+    transient."""
+    return CampaignSpec(technique=technique,
+                        detector=SignatureDetector(abs_v=0.05),
+                        target=dictionary_ladder(n_sections=4),
+                        faults=tuple(dictionary_faults(n_sections=4,
+                                                       n_faults=8)),
+                        threshold=0.0, **overrides)
 
 
 def _spec(**overrides):
@@ -329,32 +353,62 @@ class TestCampaignScheduler:
         assert cache.stats.stores == 4
         assert _sans_wall(second) == _sans_wall(first)
 
-    def test_non_picklable_job_falls_back_to_threads(self):
-        bucket = []
+    def test_non_picklable_job_runs_on_the_dispatcher(self):
+        threads = []
 
         def closure_technique(ckt):          # closures cannot pickle
-            bucket.append(ckt.name)
+            threads.append(threading.current_thread().name)
             return _mid_voltage(ckt)
 
         serial = FaultCampaign(_mid_voltage, _shift_detector,
                                threshold=0.5).run(divider(),
                                                   _divider_faults())
-        with CampaignScheduler(workers=2) as sched:
-            got = sched.submit(_spec(technique=closure_technique)).result()
-        assert bucket                        # ran in-process
+        with CampaignScheduler(workers=2, name="svc") as sched:
+            got = sched.submit(_spec(technique=closure_technique)).result(
+                timeout=60)
+        assert set(threads) == {"svc-dispatch"}  # ran in-process
         assert _normalized(got) == _normalized(serial)
+
+    def test_concurrent_unpicklable_jobs_keep_their_observations(self):
+        # OBS is process-wide: two traced jobs evaluated in-process at
+        # once must each bring home every counter and their job span,
+        # exactly as the pooled route does
+        def observed(technique):
+            with observe() as handle:
+                with CampaignScheduler(workers=2) as sched:
+                    sched.gather(*[sched.submit(_ladder_spec(technique))
+                                   for _ in range(2)], timeout=60)
+            counters = handle.metrics.counter_values()
+            return (counters["campaign.faults_evaluated"],
+                    counters["transient.runs"],
+                    [sp.name for sp in handle.tracer.spans
+                     ].count("service.job"))
+
+        pooled = observed(_ladder_technique())
+        assert pooled == (16, 18, 2)
+        assert observed(_closure(_ladder_technique())) == pooled
+
+    def test_concurrent_unpicklable_jobs_keep_their_fault_deadlines(self):
+        # DEADLINE is process-wide: per-fault budgets of two in-process
+        # jobs must neither fail the other job nor outlive the run
+        technique = _closure(_ladder_technique())
+        spec = _ladder_spec(technique, fault_timeout_s=1.0)
+        serial = FaultCampaign(technique, spec.detector,
+                               threshold=0.0).run(spec=spec)
+        with CampaignScheduler(workers=2) as sched:
+            got = sched.gather(*[sched.submit(spec) for _ in range(2)],
+                               timeout=60)
+        assert serial.n_timeouts == 0
+        assert [r.n_timeouts for r in got] == [0, 0]
+        assert [_normalized(r) for r in got] == [_normalized(serial)] * 2
+        assert DEADLINE.active is None
+        technique(dictionary_ladder(n_sections=4))   # no stale deadline
 
     def test_every_route_counts_the_reference_simulation(self):
         # the scheduler dispatches the fault-free reference as its own
         # shard; its simulation counters must come home like the inline
         # reference of FaultCampaign.run
-        spec = CampaignSpec(
-            technique=TransientSignatureTechnique(t_stop=2e-4, dt=1e-6,
-                                                  node="n3"),
-            detector=SignatureDetector(abs_v=0.05),
-            target=dictionary_ladder(n_sections=4),
-            faults=tuple(dictionary_faults(n_sections=4, n_faults=8)),
-            threshold=0.0)
+        spec = _ladder_spec(_ladder_technique())
         prefixes = ("transient.", "fastpath.", "mna.", "solver.")
 
         def sim_counters(run):
