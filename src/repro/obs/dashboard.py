@@ -5,10 +5,10 @@ Two consumption paths, one rendering core:
 * **In-process** — ``Session.watch()`` polls the scheduler directly
   (:func:`status_snapshot`) and repaints a frame per tick.
 * **Cross-process** — a scheduler started with ``status_path=...`` (or
-  ``REPRO_OBS_STATUS=/path``) publishes the same snapshot as an
-  atomically-replaced JSON file; ``python -m repro.obs top`` tails it
-  from any terminal, htop-style, with zero coupling to the running
-  process (a torn read is impossible: ``mkstemp`` + ``os.replace``).
+  ``REPRO_OBS_STATUS=/path``) publishes the same snapshot as a JSON
+  file replaced by :func:`repro.resilience.durable.atomic_write`, so a
+  reader never sees it torn; ``python -m repro.obs top`` tails it from
+  any terminal, htop-style, with zero coupling to the running process.
 
 Rendering is a pure function of the snapshot dict (:func:`render_frame`)
 so tests pin frames without a TTY, timers, or a live scheduler.
@@ -17,11 +17,11 @@ so tests pin frames without a TTY, timers, or a live scheduler.
 from __future__ import annotations
 
 import json
-import os
 import sys
-import tempfile
 import time
 from typing import Any, Callable, Dict, Optional
+
+from repro.resilience.durable import atomic_write
 
 #: status file schema tag.
 STATUS_SCHEMA = "repro.service-status/1"
@@ -58,21 +58,8 @@ def status_snapshot(scheduler: Any) -> Dict[str, Any]:
 
 
 def write_status(snapshot: Dict[str, Any], path: str) -> None:
-    """Atomically publish a snapshot (tmp file + ``os.replace``)."""
-    path = os.fspath(path)
-    parent = os.path.dirname(path) or "."
-    os.makedirs(parent, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=parent, prefix=".status-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(snapshot, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    """Atomically publish a snapshot (rewritten every tick, so not fsync'd)."""
+    atomic_write(path, json.dumps(snapshot).encode("utf-8"), sync=False)
 
 
 def read_status(path: str) -> Optional[Dict[str, Any]]:

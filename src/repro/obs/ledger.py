@@ -11,15 +11,14 @@ the same axes: ``python -m repro.obs ledger trend`` answers "is this
 exact campaign getting slower?" and ``compare`` gates bench files, both
 through :meth:`RunLedger.rows`.
 
-Write discipline: a row is one ``json.dumps`` line appended under a
-process-local lock with ``flush`` + ``fsync``.  Single-line appends of
-this size are atomic on POSIX for practical purposes; readers skip (and
-count) any torn, corrupt or foreign line rather than failing, so a
-crashed writer can never poison the history.  The ledger is installed
-either explicitly (``Session(ledger=...)``, ``observe(ledger=...)``) or
-ambiently via ``REPRO_OBS_LEDGER=/path`` — and it deliberately works
-with span/metric recording *off*, because one row per campaign costs
-nothing and history matters most for routine runs.
+A row is one ``json.dumps`` line, appended under a process-local lock
+with :func:`repro.resilience.durable.append_line`; readers skip (and
+count) any torn, undecodable, corrupt or foreign line rather than
+failing, so a crashed writer can never poison the history.  The ledger
+is installed either explicitly (``Session(ledger=...)``,
+``observe(ledger=...)``) or ambiently via ``REPRO_OBS_LEDGER=/path`` —
+and it deliberately works with span/metric recording *off*, because one
+row per campaign costs nothing and history matters most for routine runs.
 """
 
 from __future__ import annotations
@@ -33,6 +32,8 @@ import subprocess
 import threading
 import time
 from typing import Any, Dict, List, Optional
+
+from repro.resilience.durable import append_line, read_lines
 
 #: prefixes of the counters a row keeps (the telemetry half of the
 #: record, for campaign and bench rows alike).
@@ -113,14 +114,8 @@ class RunLedger:
         row.setdefault("wall", time.time())
         row.setdefault("meta", runtime_meta())
         line = json.dumps(row, sort_keys=True, default=str)
-        parent = os.path.dirname(self.path)
         with self._lock:
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
+            append_line(self.path, line)
         return row
 
     # -- reading -------------------------------------------------------
@@ -130,25 +125,17 @@ class RunLedger:
         journal) are skipped and counted in ``self.corrupt``."""
         out: List[Dict[str, Any]] = []
         corrupt = 0
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        row = json.loads(line)
-                    except ValueError:
-                        corrupt += 1
-                        continue
-                    if (not isinstance(row, dict)
-                            or row.get("schema") != LEDGER_SCHEMA):
-                        corrupt += 1
-                        continue
-                    if key is None or row.get("key") == key:
-                        out.append(row)
-        except OSError:
-            pass
+        for line in read_lines(self.path):
+            try:
+                row = json.loads(line)
+            except ValueError:
+                corrupt += 1
+                continue
+            if not isinstance(row, dict) or row.get("schema") != LEDGER_SCHEMA:
+                corrupt += 1
+                continue
+            if key is None or row.get("key") == key:
+                out.append(row)
         self.corrupt = corrupt
         return out
 

@@ -14,6 +14,9 @@ campaign/solver layers wire them through:
   ``solver.retry`` observability;
 * :mod:`repro.resilience.checkpoint` — atomic, content-keyed
   checkpoint/resume for fault campaigns;
+* :mod:`repro.resilience.durable` — the atomic-write, fsync'd-append,
+  tolerant-read and quarantine operations every persisted service file
+  (checkpoint, cache entry, job journal, run ledger, status file) uses;
 * :mod:`repro.resilience.failure` — structured degradation accounting
   (:class:`FailureReport`) for partial runs;
 * :mod:`repro.resilience.chaos` — deterministic fault injection at the

@@ -10,8 +10,10 @@ the failures a production service eventually meets.
 * :func:`chaos_os` — a context manager that patches ``os.replace`` and
   ``os.fsync`` to fail at chosen call indices (exact, reproducible) or
   at a seeded random rate (deterministic per seed).  This is how tests
-  hit the mid-``os.replace`` and failed-``fsync`` windows of the
-  checkpoint, cache and queue write paths without timing luck.
+  hit the mid-``os.replace`` and failed-``fsync`` windows of
+  :mod:`repro.resilience.durable`, the one write path of checkpoints,
+  cache entries, the journal, the ledger and the status file, without
+  timing luck.
 * :func:`tear_tail` — truncates a file mid-final-line, the exact shape
   a SIGKILL leaves behind when it lands inside an append.
 * :func:`corrupt_tail` — overwrites the final bytes with garbage, the
@@ -29,6 +31,7 @@ bit-identically from its seed and injection schedule.
 
 from __future__ import annotations
 
+import errno
 import os
 import random
 import signal
@@ -40,8 +43,9 @@ from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 
 
 class ChaosError(OSError):
-    """The injected failure — a subclass of ``OSError`` so production
-    error handling takes its real corruption/IO paths."""
+    """The injected failure: an ``OSError`` with ``errno.ENOSPC``, the
+    full disk a long-running service eventually meets, so production
+    error handling takes its real IO paths."""
 
 
 class _OSInjector:
@@ -81,7 +85,7 @@ class _OSInjector:
             if self._should_fail("replace", dst):
                 self.injected["replace"] += 1
                 raise ChaosError(
-                    f"chaos: injected os.replace failure "
+                    errno.ENOSPC, f"chaos: injected os.replace failure "
                     f"(call {self.calls['replace'] - 1}, dst={dst!r})")
             return real(src, dst, **kwargs)
         return replace
@@ -91,7 +95,7 @@ class _OSInjector:
             if self._should_fail("fsync", None):
                 self.injected["fsync"] += 1
                 raise ChaosError(
-                    f"chaos: injected os.fsync failure "
+                    errno.ENOSPC, f"chaos: injected os.fsync failure "
                     f"(call {self.calls['fsync'] - 1})")
             return real(fd)
         return fsync

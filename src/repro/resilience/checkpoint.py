@@ -10,9 +10,9 @@ written for a *different* campaign raises
 :class:`~repro.errors.CheckpointError` instead of quietly mixing
 incompatible outcomes.
 
-Writes are atomic (write to a temp file in the same directory, fsync,
-``os.replace``), so a kill mid-write leaves the previous complete
-checkpoint in place — there is no torn-file state.
+The file is a pickle written with
+:func:`repro.resilience.durable.atomic_write`, so a kill mid-write
+leaves the previous complete checkpoint in place.
 
 Outcome payloads are stored with the ``measurement`` field stripped
 (measurements can be entire waveform sets and are not part of the
@@ -28,10 +28,11 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
+import warnings
 from typing import Any, Callable, Dict, Iterable, Optional
 
 from repro.errors import CheckpointError
+from repro.resilience.durable import atomic_write, quarantine
 
 #: on-disk schema tag; bump on incompatible layout changes.
 SCHEMA = "repro.checkpoint/1"
@@ -177,19 +178,14 @@ class CampaignCheckpoint:
     def _quarantine(self, exc: Exception) -> None:
         """Move a corrupt checkpoint aside so it stays inspectable but
         never blocks a fresh run."""
-        import warnings
-        try:
-            os.replace(self.path, self.path + ".corrupt")
-        except OSError:  # pragma: no cover - racing cleanup is fine
-            pass
+        corrupt = quarantine(self.path)
         warnings.warn(
             f"checkpoint {self.path!r} is corrupt ({exc}); quarantined "
-            f"to {self.path + '.corrupt'!r} and starting fresh",
+            f"to {corrupt!r} and starting fresh",
             RuntimeWarning, stacklevel=3)
 
     # ------------------------------------------------------------------
-    def save(self, outcomes: Dict[int, Any], n_faults: int,
-             force: bool = True) -> None:
+    def save(self, outcomes: Dict[int, Any], n_faults: int) -> None:
         """Atomically persist the completed-outcome map."""
         doc = {
             "schema": SCHEMA,
@@ -197,20 +193,8 @@ class CampaignCheckpoint:
             "n_faults": n_faults,
             "outcomes": {int(i): _strip(o) for i, o in outcomes.items()},
         }
-        directory = os.path.dirname(os.path.abspath(self.path)) or "."
-        fd, tmp = tempfile.mkstemp(prefix=".ckpt-", dir=directory)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(doc, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.path,
+                     pickle.dumps(doc, protocol=pickle.HIGHEST_PROTOCOL))
         self._since_save = 0
 
     def maybe_save(self, outcomes: Dict[int, Any], n_faults: int) -> bool:

@@ -15,9 +15,9 @@ Two tiers:
 * an in-memory LRU (``max_memory_entries``, default 4096) for the hot
   path — repeated experiment/bench runs inside one process;
 * an optional disk tier (``path=``): one JSON document per entry,
-  sharded into 256 prefix directories, written atomically (temp file in
-  the same directory + fsync + ``os.replace``) exactly like campaign
-  checkpoints, so a kill mid-write can never tear an entry.
+  sharded into 256 prefix directories and written with
+  :func:`repro.resilience.durable.atomic_write`, so a kill mid-write
+  can never tear an entry.
 
 A disk entry that fails to parse, carries an unknown schema or does not
 match its own key is *quarantined* — renamed to ``<entry>.corrupt`` —
@@ -39,13 +39,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.obs.core import OBS
+from repro.resilience.durable import atomic_write, quarantine
 
 #: on-disk entry schema tag; bump on incompatible layout changes.
 CACHE_SCHEMA = "repro.result-cache/1"
@@ -58,6 +58,23 @@ def fault_key(context_key: str, fault: Any) -> str:
         h.update(part.encode("utf-8", "replace"))
         h.update(b"\x00")
     return h.hexdigest()
+
+
+def _read_entry(path: str, key: str) -> Optional[Dict[str, Any]]:
+    """The entry stored at ``path`` under ``key``, or ``None`` when it
+    does not parse, carries an unknown schema, names another key or
+    lacks float detection and wall-time fields."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            entry = json.load(fh)
+    except Exception:  # noqa: BLE001 - any damage reads as invalid
+        return None
+    if (isinstance(entry, dict) and entry.get("schema") == CACHE_SCHEMA
+            and entry.get("key") == key
+            and isinstance(entry.get("detection"), float)
+            and isinstance(entry.get("elapsed_s"), float)):
+        return entry
+    return None
 
 
 @dataclass
@@ -266,30 +283,16 @@ class ResultCache:
 
     def _store_disk(self, key: str, entry: Dict[str, Any]) -> None:
         target = self._entry_path(key)
-        directory = os.path.dirname(target)
-        os.makedirs(directory, exist_ok=True)
         old = 0
         if self.max_bytes is not None:
             try:
                 old = os.path.getsize(target)
             except OSError:
                 old = 0
-        fd, tmp = tempfile.mkstemp(prefix=".cache-", dir=directory)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh)
-                fh.flush()
-                os.fsync(fh.fileno())
-            new = os.path.getsize(tmp)
-            os.replace(tmp, target)
-            if self.max_bytes is not None:
-                self._disk_bytes += new - old
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        data = json.dumps(entry).encode("utf-8")
+        atomic_write(target, data)
+        if self.max_bytes is not None:
+            self._disk_bytes += len(data) - old
 
     def _load_disk(self, key: str) -> Optional[Dict[str, Any]]:
         if self.path is None:
@@ -297,16 +300,8 @@ class ResultCache:
         target = self._entry_path(key)
         if not os.path.exists(target):
             return None
-        try:
-            with open(target, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
-            if (not isinstance(entry, dict)
-                    or entry.get("schema") != CACHE_SCHEMA
-                    or entry.get("key") != key
-                    or not isinstance(entry.get("detection"), float)
-                    or not isinstance(entry.get("elapsed_s"), float)):
-                raise ValueError("malformed cache entry")
-        except Exception:  # noqa: BLE001 - any corruption -> quarantine
+        entry = _read_entry(target, key)
+        if entry is None:
             self._quarantine(target)
             return None
         try:
@@ -322,10 +317,7 @@ class ResultCache:
         self.stats.corrupt += 1
         if OBS.enabled:
             OBS.metrics.counter("cache.corrupt").inc()
-        try:
-            os.replace(target, target + ".corrupt")
-        except OSError:  # pragma: no cover - racing cleanup is fine
-            pass
+        quarantine(target)
 
     # -- disk budget ---------------------------------------------------
     def _entries_on_disk(self):
@@ -402,18 +394,7 @@ class ResultCache:
         quarantined = 0
         with self._lock:
             for _, _, entry_path, key in self._entries_on_disk():
-                try:
-                    with open(entry_path, "r", encoding="utf-8") as fh:
-                        entry = json.load(fh)
-                    if (not isinstance(entry, dict)
-                            or entry.get("schema") != CACHE_SCHEMA
-                            or entry.get("key") != key
-                            or not isinstance(entry.get("detection"),
-                                              float)
-                            or not isinstance(entry.get("elapsed_s"),
-                                              float)):
-                        raise ValueError("malformed cache entry")
-                except Exception:  # noqa: BLE001 - any damage aside
+                if _read_entry(entry_path, key) is None:
                     self._quarantine(entry_path)
                     quarantined += 1
             self._disk_bytes = self._measure_disk()

@@ -22,27 +22,25 @@ Journal format (one JSON object per line, schema-tagged)::
 
 State machine per job: ``submitted → dispatched → done | failed``,
 plus the operator transitions ``requeued`` (terminal/stuck → submitted)
-and ``dropped`` (any → terminal, never replayed).  Write discipline
-mirrors the run ledger: single-line appends under a process-local lock
-with ``flush`` + ``fsync``.  Journaling a *submission* must succeed —
-that append IS the durability contract, so :meth:`submit` raises on
-failure.  Transition marks are best-effort: a lost ``done`` mark only
-means the job re-runs from cache + checkpoint after a crash, which the
-recovery invariant makes free.
+and ``dropped`` (any → terminal, never replayed).  Every record is one
+:func:`repro.resilience.durable.append_line` under a process-local
+lock.  Journaling a *submission* must succeed — that append IS the
+durability contract, so :meth:`submit` raises on failure.  Transition
+marks are best-effort: a lost ``done`` mark only means the job re-runs
+from cache + checkpoint after a crash, which the recovery invariant
+makes free.
 
-Read discipline mirrors the checkpoint/cache layers: a torn tail line
-(the crash interrupted an append) or a corrupt interior record is
-never fatal.  :meth:`replay` skips bad lines, quarantines the raw
-bytes to ``<path>.corrupt`` and atomically rewrites the journal with
-the surviving records (``mkstemp`` + ``fsync`` + ``os.replace``), so
-one bad write can never poison the queue's history.
+A torn tail line (the crash interrupted an append) or a corrupt
+interior record is never fatal.  :meth:`replay` skips bad lines,
+appends them to ``<path>.corrupt`` and atomically rewrites the journal
+with the surviving records, so one bad write can never poison the
+queue's history.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import time
 import warnings
@@ -50,6 +48,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.obs.core import OBS
+from repro.resilience.durable import append_line, atomic_write, read_lines
 from repro.service.spec import CampaignSpec
 
 #: journal record schema tag; bump on incompatible layout changes.
@@ -123,21 +122,19 @@ class PersistentJobQueue:
         self.records: Dict[str, JobRecord] = {}
         #: torn/corrupt lines quarantined by the most recent replay.
         self.corrupt = 0
+        #: a replay could not quarantine a torn tail, so the journal
+        #: may end mid-line: the next append starts a fresh one.
+        self._unterminated = False
         self.replay()
 
     # -- writing -------------------------------------------------------
     def _append(self, doc: Dict[str, Any]) -> None:
-        """One locked, fsync'd single-line append (the ledger idiom)."""
+        """One fsync'd single-line append (callers hold the lock)."""
         doc.setdefault("schema", QUEUE_SCHEMA)
         doc.setdefault("t", round(time.time(), 6))
         line = json.dumps(doc, sort_keys=True)
-        parent = os.path.dirname(self.path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        append_line(self.path, "\n" + line if self._unterminated else line)
+        self._unterminated = False
         if OBS.enabled:
             OBS.metrics.counter("service.journal_appends").inc()
 
@@ -235,21 +232,10 @@ class PersistentJobQueue:
         good: List[str] = []
         bad: List[str] = []
         records: Dict[str, JobRecord] = {}
-        try:
-            # errors="replace", not strict: a partially flushed page can
-            # leave arbitrary bytes in the tail, and a journal that
-            # cannot even decode must quarantine that line, never crash
-            # recovery.  Mangled bytes become U+FFFD, fail json.loads
-            # below and take the normal quarantine path.
-            with open(self.path, "r", encoding="utf-8",
-                      errors="replace") as fh:
-                raw_lines = fh.read().split("\n")
-        except OSError:
-            raw_lines = []
-        for raw in raw_lines:
+        # undecodable bytes (a partially flushed page) arrive as U+FFFD,
+        # fail json.loads and take the normal quarantine path
+        for raw in read_lines(self.path):
             line = raw.strip()
-            if not line:
-                continue
             try:
                 doc = json.loads(line)
             except ValueError:
@@ -288,35 +274,29 @@ class PersistentJobQueue:
         return records
 
     def _quarantine(self, good: List[str], bad: List[str]) -> None:
-        """Move the damage aside, keep the survivors (atomic)."""
-        with open(self.path + ".corrupt", "a", encoding="utf-8") as fh:
-            for raw in bad:
-                fh.write(raw + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        self._rewrite(good)
+        """Move the damage aside, keep the survivors (atomic).  On a
+        failing disk the journal stays as it is — the surviving records
+        are already replayed — and the next replay tries again."""
+        corrupt = self.path + ".corrupt"
+        try:
+            append_line(corrupt, "\n".join(bad))
+            self._rewrite(good)
+        except OSError as exc:
+            self._unterminated = True
+            warnings.warn(
+                f"job queue {self.path!r}: skipped {len(bad)} torn/corrupt "
+                f"journal line(s) but could not quarantine them to "
+                f"{corrupt!r} ({exc})", RuntimeWarning, stacklevel=3)
+            return
         warnings.warn(
             f"job queue {self.path!r}: quarantined {len(bad)} "
-            f"torn/corrupt journal line(s) to "
-            f"{self.path + '.corrupt'!r}", RuntimeWarning, stacklevel=3)
+            f"torn/corrupt journal line(s) to {corrupt!r}",
+            RuntimeWarning, stacklevel=3)
 
     def _rewrite(self, lines: List[str]) -> None:
-        parent = os.path.dirname(self.path) or "."
-        os.makedirs(parent, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=parent, suffix=".queue.tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                for line in lines:
-                    fh.write(line + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.path,
+                     "".join(line + "\n" for line in lines).encode("utf-8"))
+        self._unterminated = False
 
     # -- views ---------------------------------------------------------
     def pending(self) -> List[JobRecord]:

@@ -10,6 +10,7 @@ inject ``os.replace``/``fsync`` failures (see the ``service-durability``
 CI job).
 """
 
+import errno
 import json
 import os
 import sys
@@ -17,8 +18,9 @@ import time
 
 import pytest
 
+from repro.faults import FaultCampaign
 from repro.obs.core import observe
-from repro.obs.ledger import key_counters
+from repro.obs.ledger import RunLedger, key_counters
 from repro.resilience.chaos import (
     ChaosError,
     ChaosProcess,
@@ -222,6 +224,24 @@ class TestPersistentQueue:
         with chaos_os(fsync_fail_at=[0]):
             assert queue.mark("a", "done") is False
         assert queue.get("a").state == "submitted"  # not applied
+
+    def test_replay_on_a_failing_disk_keeps_survivors(self, tmp_path):
+        """A torn tail that cannot be quarantined is skipped, not fatal,
+        and the next submit does not merge into the unterminated line."""
+        path = str(tmp_path / "q.jsonl")
+        queue = PersistentJobQueue(path)
+        queue.submit("a", _spec().resolved())
+        queue.submit("b", _spec().resolved())
+        tear_tail(path, drop_bytes=4)  # tears b's submitted line
+        with chaos_os(fsync_fail_at=[0]) as injector:
+            with pytest.warns(RuntimeWarning, match="could not quarantine"):
+                replayed = PersistentJobQueue(path)
+        assert injector.injected["fsync"] == 1
+        assert sorted(replayed.records) == ["a"] and replayed.corrupt == 1
+        replayed.submit("c", _spec().resolved())
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            clean = PersistentJobQueue(path)
+        assert sorted(clean.records) == ["a", "c"] and clean.corrupt == 1
 
     def test_unpicklable_workload_journals_with_warning(self, tmp_path):
         queue = PersistentJobQueue(str(tmp_path / "q.jsonl"))
@@ -499,6 +519,76 @@ class TestSchedulerQueueIntegration:
         record = PersistentJobQueue(path).get(job.id)
         rows = ledger.rows(key=record.key)
         assert rows and rows[-1]["job"] == job.id
+
+
+# ---------------------------------------------------------------------------
+# a full disk: the durable writes fail with ENOSPC
+
+
+def _golden(spec):
+    with CampaignScheduler(workers=1, name="golden") as sched:
+        return normalize(sched.submit(
+            spec.replace(checkpoint=None)).result().to_dict())
+
+
+def _full_disk_cache_store(tmp_path):
+    cache = ResultCache(path=str(tmp_path / "c"))
+    outcome = _entry(7)
+    with observe() as handle, chaos_os(rate=1.0, match=str(tmp_path)):
+        assert cache.put("ctx", outcome) is True
+    assert cache._entries_on_disk() == []
+    assert cache.get("ctx", outcome.fault, 0.5) is not None  # memory
+    assert handle.metrics.counter_values()["cache.store_errors"] == 1
+
+
+def _full_disk_scheduler_checkpoint(tmp_path):
+    spec = _spec(tmp_path, n=3).resolved()
+    with observe() as handle, chaos_os(rate=1.0, match=str(tmp_path)):
+        with CampaignScheduler(workers=1, name="full") as sched:
+            result = sched.submit(spec).result()
+    assert normalize(result.to_dict()) == _golden(spec)
+    assert handle.metrics.counter_values()["service.checkpoint_errors"] >= 1
+    assert not os.path.exists(spec.checkpoint)
+
+
+def _full_disk_campaign_checkpoint(tmp_path):
+    spec = _spec(tmp_path, n=2).resolved()
+    with chaos_os(rate=1.0, match=str(tmp_path)):
+        with pytest.raises(OSError) as info:
+            FaultCampaign(spec.technique, spec.detector).run(spec=spec)
+    assert info.value.errno == errno.ENOSPC
+
+
+def _full_disk_ledger_row(tmp_path):
+    spec = _spec(n=2, checkpoint=None).resolved()
+    ledger = RunLedger(str(tmp_path / "ledger.jsonl"))
+    with chaos_os(rate=1.0) as injector, observe(ledger=ledger):
+        result = FaultCampaign(spec.technique, spec.detector).run(spec=spec)
+    assert injector.injected["fsync"] == 1
+    assert normalize(result.to_dict()) == _golden(spec)
+
+
+def _full_disk_status_publish(tmp_path):
+    spec = _spec(n=2, checkpoint=None).resolved()
+    status = tmp_path / "status.json"
+    with chaos_os(rate=1.0, match=str(status)) as injector:
+        with CampaignScheduler(workers=1, name="full",
+                               status_path=str(status)) as sched:
+            result = sched.submit(spec).result()
+    assert injector.injected["replace"] >= 1 and not status.exists()
+    assert normalize(result.to_dict()) == _golden(spec)
+
+
+@pytest.mark.parametrize("scenario", [
+    _full_disk_cache_store, _full_disk_scheduler_checkpoint,
+    _full_disk_campaign_checkpoint, _full_disk_ledger_row,
+    _full_disk_status_publish], ids=lambda fn: fn.__name__[11:])
+def test_full_disk_degrades_as_documented(tmp_path, scenario):
+    """Each writer's documented reaction to ENOSPC: the cache serves
+    from memory, a service job finishes without its checkpoint, a
+    standalone campaign raises, and neither a lost ledger row nor a lost
+    status publish fails the run."""
+    scenario(tmp_path)
 
 
 # ---------------------------------------------------------------------------

@@ -452,6 +452,15 @@ class TestRunLedger:
         assert led.rows(key="k2")[0]["elapsed_s"] == 2.0
         assert led.latest("k1")["elapsed_s"] == 1.0
 
+    def test_rows_skip_a_torn_non_utf8_tail(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        led = RunLedger(str(path))
+        led.record({"key": "a", "elapsed_s": 1.0})
+        with open(path, "ab") as fh:
+            fh.write(b'{"key": "b\xff\xfe')
+        assert [r["key"] for r in led.rows()] == ["a"]
+        assert led.corrupt == 1
+
     def test_missing_file_reads_empty(self, tmp_path):
         led = RunLedger(str(tmp_path / "nope.jsonl"))
         assert led.rows() == []
