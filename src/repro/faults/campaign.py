@@ -6,23 +6,26 @@ takes a (fault-free or faulty) target and returns a measurement, plus a
 reference and returns a detection score in [0, 1] (the paper's
 "percentage of detection instances" divided by 100).
 
-Campaigns are fully observable: when an observation scope is active
-(:func:`repro.obs.observe` or a :class:`repro.session.Session`), every
-fault evaluation — including those in worker processes — captures an
-isolated metrics snapshot which is merged back into the ambient
-registry, so ``workers=N`` runs report exactly the same counters as a
-serial run, plus campaign-level wall-time histograms and a
-worker-utilisation gauge.
+Every stage of a job is a shard of the executor in
+:class:`~repro.service.scheduler.CampaignScheduler`, in one order on
+both entry points: the surrogate prescreen (when configured), the
+fault-free reference (when none was given) and the fault chunks.
+Campaigns are fully observable: under an observation scope
+(:func:`repro.obs.observe` or a :class:`repro.session.Session`) every
+shard — in-process or in a worker process — records into an isolated
+scope whose metrics, events and spans ship home and are merged once
+when the job settles, so ``workers=N`` runs report exactly the same
+counters as a serial run, plus campaign-level wall-time histograms and
+a worker-utilisation gauge.
 
 Campaigns are also *resilient* (see DESIGN.md, "Resilience
-architecture"): :meth:`FaultCampaign.run` accepts per-fault and
-campaign-wide deadlines, periodic atomic checkpointing with
-``resume=True``.  Every run goes through the shard executor of
-:class:`~repro.service.scheduler.CampaignScheduler`; in pooled mode it
+architecture"): :meth:`FaultCampaign.run` accepts per-fault deadlines, a
+campaign deadline covering every stage, and periodic atomic
+checkpointing with ``resume=True``.  In pooled mode the executor
 survives hung and crashed worker processes by killing/rebuilding the
-pool, re-running in-flight faults and quarantining faults that kill a
-worker twice.  Everything
-that degraded the run is accounted for in the result's
+pool, re-running in-flight shards and quarantining faults that kill a
+worker twice (a prescreen or reference that does so fails the job).
+Everything that degraded the run is accounted for in the result's
 :class:`~repro.resilience.failure.FailureReport`.
 """
 
@@ -33,11 +36,11 @@ import os
 import pickle
 import time
 import warnings
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional
 
-from repro.errors import DeadlineExceeded
+from repro.errors import CampaignError, DeadlineExceeded
 from repro.faults.injector import inject
 from repro.faults.model import Fault
 from repro.obs.core import OBS, event, observe
@@ -309,24 +312,27 @@ def _span_ref(trace_ctx: Optional[TraceContext], name: str) -> str:
 
 
 def _observed(evaluate: Callable[[], Any],
-              trace_ctx: Optional[TraceContext], name: str,
+              trace_ctx: Optional[TraceContext], name: Optional[str] = None,
               **attrs: Any) -> tuple:
-    """Run ``evaluate()`` inside one ``name`` span of an isolated
-    observation scope adopted into ``trace_ctx``.
+    """Run ``evaluate()`` in an isolated observation scope adopted into
+    ``trace_ctx``, inside one ``name`` span when a name is given (a
+    stage shard's own spans are its forest's roots).
 
     Returns its value and the ship-back fields (``metrics``, ``events``,
     ``spans`` and the ``span`` reference) that carry the scope's data
-    home on a :class:`FaultOutcome` — identically in-process and in a
-    pool worker, which is what makes the *metrics* of ``workers=N``
-    identical to ``workers=1`` too.  The parent grafts the span forest
-    under the campaign/job span.
+    home — identically in-process and in a pool worker, which is what
+    makes the *metrics* of ``workers=N`` identical to ``workers=1`` too.
+    The parent grafts the span forest under the campaign/job span.
     """
     with observe() as handle:
         tracer = handle.tracer.adopt(trace_ctx)
-        if trace_ctx is not None:
-            attrs.update(trace_ctx.attrs())
-        with tracer.span(name, **attrs):
+        if name is None:
             value = evaluate()
+        else:
+            if trace_ctx is not None:
+                attrs.update(trace_ctx.attrs())
+            with tracer.span(name, **attrs):
+                value = evaluate()
     stamp_pids(tracer.spans, os.getpid())
     return value, {"metrics": handle.metrics.to_dict(),
                    "events": handle.events.records(),
@@ -531,8 +537,6 @@ def _graft_spans(parent: Span, outcome: FaultOutcome) -> None:
     outcome.span = f"{parent.name}/{name}"
 
 
-
-
 def _evaluate_shard(evaluate, faults: List[Fault]) -> List[FaultOutcome]:
     """Driver for a per-fault shard: the :func:`_evaluate_fault` partial
     applied in order, in-process or in a pool worker alike.
@@ -547,9 +551,10 @@ def _job_name(spec: CampaignSpec) -> str:
 
 @dataclass
 class _Shard:
-    """One dispatchable unit: a reference computation or a fault chunk."""
+    """One dispatchable unit: a stage of a job."""
 
-    kind: str                    # "ref" | "faults"
+    kind: str                    # "prescreen" | "ref" | "faults"
+    #: the faults a ``faults`` chunk evaluates, or a ``prescreen`` classifies
     indices: List[int] = field(default_factory=list)
     #: march the chunk through the technique's batched path
     batched: bool = False
@@ -565,13 +570,15 @@ class _JobRun:
     and hands it to the scheduler's shard executor on the caller's
     thread (a process pool when ``workers > 1`` and the work pickles);
     :class:`~repro.service.scheduler.CampaignScheduler` stages every
-    submitted job the same way.  Staging restores the checkpoint,
-    replays the result cache and runs the surrogate prescreen; the
-    faults left over become shards.  The job alone decides their route
-    (:meth:`build_shards`), tracks progress and finalizes the result,
-    ledger row included (:meth:`finish`).  Outcomes are recorded
-    strictly in fault order, so progress callbacks, heartbeats and
-    checkpoints see the serial sequence on every route.
+    submitted job the same way.  Staging (:meth:`stage`) restores the
+    checkpoint, replays the result cache, decides the route once and
+    queues the first stage; every stage is a shard the executor runs,
+    and each landing (:meth:`land`) queues the next one — the surrogate
+    prescreen, then the fault-free reference, then the fault chunks.
+    The job tracks progress and finalizes the result, ledger row
+    included (:meth:`finish`).  Outcomes are recorded strictly in fault
+    order, so progress callbacks, heartbeats and checkpoints see the
+    serial sequence on every route.
     """
 
     def __init__(self, spec: CampaignSpec, cache: Optional[Any] = None, *,
@@ -589,16 +596,15 @@ class _JobRun:
         self.inflight = 0
         #: faults settled or in flight (the scheduler's fair-share key)
         self.dispatched = 0
-        #: strikes of faults that were in flight when a worker died and
-        #: have not been cleared since; non-empty means blame is pending
-        self.crash_counts: Dict[int, int] = {}
+        #: strikes of faults (by index) and stages (by kind) that were in
+        #: flight when a worker died and have not been cleared since;
+        #: non-empty means blame is pending
+        self.crash_counts: Dict[Any, int] = {}
         self.reference: Any = spec.reference
-        #: ship-back fields of a dispatched reference shard (see
-        #: :meth:`land_reference`), merged by :func:`_merge_obs`
-        self.reference_obs: Optional[Dict[str, Any]] = None
-        #: counters the prescreen and an inline reference recorded
-        #: straight into the caller's scope (see :meth:`run_counted`)
-        self.inline_counters: Counter = Counter()
+        #: ship-back fields of the landed prescreen and reference shards,
+        #: in stage order, merged by :func:`_merge_obs`
+        self.stage_obs: List[Dict[str, Any]] = []
+        self.shard_size = 1
         self.evaluate: Optional[Callable[[Fault], FaultOutcome]] = None
         self.evaluate_batch: Optional[Callable[[List[Fault]], Any]] = None
         self.trace_ctx = trace_ctx
@@ -628,12 +634,9 @@ class _JobRun:
             self.ckpt = CampaignCheckpoint(spec.checkpoint,
                                            spec.content_key(),
                                            every=spec.checkpoint_every)
-        #: ``(t_start, n_in, n_escalated)`` of the prescreen pass, if any
-        self.prescreened: Optional[tuple] = None
         #: whether shards go to a process pool (else the executor loop
-        #: runs them on its own thread): decided by :meth:`build_shards`;
-        #: until then a scheduler's reference shard tries the pool
-        self.pooled = True
+        #: runs them on its own thread): decided by :meth:`stage`
+        self.pooled = False
         # scheduler-side state: the job handle, admission seq, the
         # detached ``service.job`` span
         self.job: Any = None
@@ -656,10 +659,13 @@ class _JobRun:
         return self.tracker.last
 
     # -- staging -------------------------------------------------------
-    def stage(self) -> None:
-        """Replay checkpointed outcomes, then cache hits, then surrogate
-        verdicts, each in fault order; the faults left wait in
-        ``emit_queue`` for :meth:`build_shards`."""
+    def stage(self, shard_size: int, pool: bool) -> None:
+        """Replay checkpointed outcomes, then cache hits, each in fault
+        order, and queue the first stage for the faults left in
+        ``emit_queue``: the prescreen when one is configured, else
+        :meth:`advance`.  Then decide the route, once: a process pool
+        only when one can be used (``pool``) and the job's technique,
+        detector, target, faults and any given reference pickle."""
         if self.ckpt is not None and self.spec.resume:
             restored = self.ckpt.load()
             for idx in sorted(restored):
@@ -676,9 +682,22 @@ class _JobRun:
             else:
                 self.dispatched += 1
                 self.record(idx, hit)
-        if pending and self.spec.prescreen == "surrogate":
-            pending = self._prescreen(pending)
         self.emit_queue = deque(pending)
+        self.shard_size = shard_size
+        if pending and self.spec.prescreen == "surrogate":
+            # before the MNA reference: a fully surrogate-decided job
+            # performs zero transient simulations
+            self.ready.append(_Shard("prescreen", pending))
+        else:
+            self.advance()
+        self.pooled = pool
+        if pool and self.ready:
+            spec = self.spec
+            try:
+                pickle.dumps((spec.technique, spec.detector, spec.target,
+                              self.fault_list, self.reference))
+            except Exception:  # noqa: BLE001 - any failure means in-process
+                self.pooled = False
 
     def cache_hit(self, idx: int,
                   count_miss: bool = True) -> Optional[FaultOutcome]:
@@ -696,38 +715,18 @@ class _JobRun:
                                  count_miss=count_miss)
         return hit
 
-    def _prescreen(self, pending: List[int]) -> List[int]:
-        # runs before the MNA reference is even computed: a fully
-        # surrogate-decided job performs zero transient simulations
-        from repro.surrogate.prescreen import SurrogatePrescreen
-        spec = self.spec
-        t0 = time.perf_counter()
-        prescreen = SurrogatePrescreen(spec.technique, spec.detector,
-                                       spec.threshold,
-                                       config=spec.prescreen_config)
-        verdicts = self.run_counted(functools.partial(
-            prescreen.classify, spec.target,
-            [self.fault_list[i] for i in pending]))
-        escalated: List[int] = []
-        for idx, verdict in zip(pending, verdicts):
-            if verdict is None:
-                escalated.append(idx)
-            else:
-                self.dispatched += 1
-                self.record(idx, verdict)
-        self.prescreened = (t0, len(pending), len(escalated))
-        return escalated
-
-    def build_shards(self, shard_size: int, pool: bool) -> None:
-        """Bind the evaluation partials to the reference and chunk the
-        pending faults: ``batch_size`` per shard when the technique has
-        a batched path (``evaluate_batch``), ``shard_size`` otherwise.
-
-        Then decide the route, once: the shards go to a process pool
-        only when one can be used (``pool``) and the very call it would
-        pickle — reference included — does pickle, so a measurement
-        that cannot cross a process boundary keeps the job in-process.
-        Without a pool nothing is pickled."""
+    def advance(self) -> None:
+        """Queue the next stage for the faults still pending: the
+        fault-free reference while none is known (lazy on purpose: a
+        fully restored, cached or prescreened job never simulates it),
+        then the fault chunks — ``batch_size`` per shard when the
+        technique has a batched path (``evaluate_batch``),
+        ``shard_size`` otherwise."""
+        if not self.emit_queue:
+            return
+        if self.reference is None:
+            self.ready.append(_Shard("ref"))
+            return
         spec = self.spec
         args = (spec.technique, spec.detector, spec.threshold,
                 spec.on_error, self.collect_obs, spec.fault_timeout_s,
@@ -738,50 +737,32 @@ class _JobRun:
         if batched:
             self.evaluate_batch = functools.partial(_evaluate_fault_batch,
                                                     *args)
-        width = spec.batch_size if batched else shard_size
+        width = spec.batch_size if batched else self.shard_size
         pending = list(self.emit_queue)
         for start in range(0, len(pending), width):
             self.ready.append(_Shard("faults", pending[start:start + width],
                                      batched=batched))
-        self.pooled = False
-        if pool:
-            try:
-                pickle.dumps((self.evaluate, self.fault_list))
-                self.pooled = True
-            except Exception:  # noqa: BLE001 - any failure means in-process
-                pass
 
     def shard_call(self, shard: _Shard) -> Callable[[], Any]:
-        """The picklable zero-argument call that evaluates ``shard``."""
-        if shard.kind == "ref":
-            call = functools.partial(self.spec.technique, self.spec.target)
-            if not self.collect_obs:
-                return call
-            return functools.partial(_observed, call, self.trace_ctx,
-                                     "campaign.reference")
+        """The picklable zero-argument call that evaluates ``shard``; a
+        stage shard's call ships its observations back when
+        ``collect_obs`` is set (fault outcomes carry their own)."""
+        spec = self.spec
         faults = [self.fault_list[i] for i in shard.indices]
-        if shard.batched:
-            return functools.partial(self.evaluate_batch, faults)
-        return functools.partial(_evaluate_shard, self.evaluate, faults)
-
-    def run_counted(self, call: Callable[[], Any]) -> Any:
-        """``call()`` on the calling thread, in the caller's scope, with
-        the counters it records there kept for the ledger row."""
+        if shard.kind == "faults":
+            if shard.batched:
+                return functools.partial(self.evaluate_batch, faults)
+            return functools.partial(_evaluate_shard, self.evaluate, faults)
+        if shard.kind == "ref":
+            call = functools.partial(spec.technique, spec.target)
+        else:
+            from repro.surrogate.prescreen import SurrogatePrescreen
+            call = functools.partial(SurrogatePrescreen(
+                spec.technique, spec.detector, spec.threshold,
+                config=spec.prescreen_config).classify, spec.target, faults)
         if not self.collect_obs:
-            return call()
-        before = OBS.metrics.counter_values()
-        value = call()
-        for name, count in OBS.metrics.counter_values().items():
-            if count != before.get(name):
-                self.inline_counters[name] += count - before.get(name, 0)
-        return value
-
-    def land_reference(self, payload: Any) -> None:
-        """Take a finished reference shard: its measurement, plus the
-        observations it shipped when ``collect_obs`` is set."""
-        if self.collect_obs:
-            payload, self.reference_obs = payload
-        self.reference = payload
+            return call
+        return functools.partial(_observed, call, self.trace_ctx)
 
     # -- recording -----------------------------------------------------
     def record(self, idx: int, outcome: FaultOutcome,
@@ -831,12 +812,31 @@ class _JobRun:
             idx = self.emit_queue.popleft()
             self.record(idx, self.buffered.pop(idx))
 
-    def land(self, indices: List[int],
-             outcomes: List[FaultOutcome]) -> None:
-        for idx, outcome in zip(indices, outcomes):
-            self.crash_counts.pop(idx, None)   # exonerated
-            self.buffered[idx] = outcome
-        self.emit_ready()
+    def land(self, shard: _Shard, payload: Any) -> None:
+        """Take a finished shard: buffer a chunk's outcomes for in-order
+        emission, or take a stage's result and queue the next stage."""
+        if shard.kind == "faults":
+            for idx, outcome in zip(shard.indices, payload):
+                self.crash_counts.pop(idx, None)   # exonerated
+                self.buffered[idx] = outcome
+            self.emit_ready()
+            return
+        self.crash_counts.pop(shard.kind, None)
+        if self.collect_obs:
+            payload, shipped = payload
+            self.stage_obs.append(shipped)
+        if shard.kind == "ref":
+            self.reference = payload
+        else:
+            escalated: List[int] = []
+            for idx, verdict in zip(shard.indices, payload):
+                if verdict is None:
+                    escalated.append(idx)
+                else:
+                    self.dispatched += 1
+                    self.record(idx, verdict)
+            self.emit_queue = deque(escalated)
+        self.advance()
 
     # -- the executor's failure verdicts -------------------------------
     def requeue(self, shard: _Shard, split: bool = False) -> None:
@@ -853,8 +853,17 @@ class _JobRun:
     def strike(self, shard: _Shard) -> None:
         """A worker died while ``shard`` was in flight: each member takes
         a strike and is re-queued alone; a member reaching
-        ``_QUARANTINE_AFTER`` strikes is quarantined as a poison pill."""
-        if shard.kind == "ref":
+        ``_QUARANTINE_AFTER`` strikes is quarantined as a poison pill.
+        A stage shard takes the strike itself, and reaching
+        ``_QUARANTINE_AFTER`` raises :class:`CampaignError`: without it
+        the job has nothing to score."""
+        if shard.kind != "faults":
+            strikes = self.crash_counts.get(shard.kind, 0) + 1
+            if strikes >= _QUARANTINE_AFTER:
+                raise CampaignError(
+                    f"{self.name}: the {shard.kind} stage killed its worker "
+                    f"{strikes} times")
+            self.crash_counts[shard.kind] = strikes
             self.ready.appendleft(shard)
             return
         self.dispatched -= len(shard.indices)
@@ -941,16 +950,13 @@ class _JobRun:
     def ledger_row(self, result: CampaignResult) -> Dict[str, Any]:
         """The job's run-ledger row: the result's counts, its cache delta
         and the key counters of everything the job measured — the
-        faults' shipped snapshots, the prescreen and the fault-free
-        reference, inline or dispatched ({} when the job ran
+        faults' and the stages' shipped snapshots ({} when the job ran
         unobserved)."""
         measured = Metrics()
         for outcome in result.outcomes:
             measured.merge(outcome.metrics)
-        if self.reference_obs is not None:
-            measured.merge(self.reference_obs["metrics"])
-        for name, value in self.inline_counters.items():
-            measured.counter(name).inc(value)
+        for shipped in self.stage_obs:
+            measured.merge(shipped["metrics"])
         n, n_prescreened = result.n_faults, result.n_prescreened
         prescreen = self.spec.prescreen
         stats = result.cache_stats
@@ -984,20 +990,18 @@ class _JobRun:
 
 
 def _merge_obs(result: CampaignResult, span: Optional[Span],
-               reference_obs: Optional[Dict[str, Any]] = None) -> None:
-    """Fold the outcomes' shipped metrics and events into the ambient
-    scope, graft their span forests under ``span`` (the campaign or job
-    span) and record the campaign-level metrics — identically for every
-    route, which is what gives serial, pooled and scheduled runs the
-    same counters.  ``reference_obs`` carries a dispatched reference
-    shard's fields (an inline reference recorded into the scope
-    directly)."""
+               stage_obs: Iterable[Dict[str, Any]] = ()) -> None:
+    """Fold the stages' and the outcomes' shipped metrics and events
+    into the ambient scope, graft their span forests under ``span`` (the
+    campaign or job span) and record the campaign-level metrics —
+    identically for every route, which is what gives serial, pooled and
+    scheduled runs the same counters."""
     m = OBS.metrics
-    if reference_obs is not None:
-        m.merge(reference_obs["metrics"])
-        OBS.events.extend(reference_obs["events"])
+    for shipped in stage_obs:
+        m.merge(shipped["metrics"])
+        OBS.events.extend(shipped["events"])
         if span is not None:
-            span.children.extend(reference_obs["spans"])
+            span.children.extend(shipped["spans"])
     busy = 0.0
     for o in result.outcomes:
         m.merge(o.metrics)
@@ -1056,7 +1060,8 @@ class FaultCampaign:
         evaluates faults serially in-process; ``N > 1`` hands the job to
         the shard executor of
         :class:`~repro.service.scheduler.CampaignScheduler`, which fans
-        it out over a process pool one fault per shard.  Faults are
+        it out over a process pool one fault per shard (the prescreen
+        and the fault-free reference are shards there too).  Faults are
         independent, so this is embarrassingly parallel; results come
         back in fault order regardless of completion order.  Requires
         the technique, detector, target, faults and fault-free
@@ -1150,10 +1155,10 @@ class FaultCampaign:
             outcome (``timed_out=True``, ``error="timeout: ..."``) and
             is never counted as detected.
         campaign_deadline_s:
-            Budget for the whole run.  On expiry, evaluation stops (in
-            pooled mode the pool is killed); faults never evaluated are
-            listed in ``result.failures.skipped`` and the result is
-            ``partial``.
+            Budget for the whole run, prescreen and reference included.
+            On expiry, evaluation stops (in pooled mode the pool is
+            killed); faults never evaluated are listed in
+            ``result.failures.skipped`` and the result is ``partial``.
         checkpoint / resume / checkpoint_every:
             ``checkpoint=path`` persists completed outcomes atomically
             every ``checkpoint_every`` completions, keyed by a content
@@ -1188,36 +1193,26 @@ class FaultCampaign:
         cache = rspec.cache if rspec.cache is not None else self.cache
         with obs_span("campaign", target=_job_name(rspec)) as sp:
             # the trace context is captured inside the campaign span, so
-            # worker-side roots record this exact position as their parent
+            # shipped span forests record this exact position as parent
             job = _JobRun(rspec, cache, trace_ctx=TraceContext.capture(),
                           collect_obs=OBS.enabled)
-            job.stage()
             n_workers = min(rspec.workers, job.total) if job.total else 1
-            if job.emit_queue:
-                if job.reference is None:
-                    # lazy on purpose: a fully restored/cached campaign
-                    # re-runs without a single simulation, reference
-                    # included
-                    job.reference = job.run_counted(functools.partial(
-                        self.technique, rspec.target))
-                job.build_shards(1, pool=n_workers > 1)
-                if n_workers > 1 and not job.pooled:
-                    warnings.warn(
-                        "fault campaign: technique/detector/target/faults/"
-                        "reference are not picklable; falling back to serial "
-                        "evaluation",
-                        RuntimeWarning, stacklevel=2)
-                    if OBS.enabled:
-                        OBS.metrics.counter(
-                            "campaign.pickle_fallbacks").inc()
-                    n_workers = 1
-                # without a pool, the loop runs the shards on this thread
-                from repro.service.scheduler import CampaignScheduler
-                CampaignScheduler(workers=n_workers, shard_size=1,
-                                  name="campaign")._drive(job)
+            job.stage(1, pool=n_workers > 1)
+            # without a pool, the loop runs the shards on this thread
+            from repro.service.scheduler import CampaignScheduler
+            CampaignScheduler(workers=n_workers, shard_size=1,
+                              name="campaign")._drive(job)
+            if n_workers > 1 and not job.pooled:
+                warnings.warn(
+                    "fault campaign: technique/detector/target/faults/"
+                    "reference are not picklable; falling back to serial "
+                    "evaluation", RuntimeWarning, stacklevel=2)
+                if OBS.enabled:
+                    OBS.metrics.counter("campaign.pickle_fallbacks").inc()
+                n_workers = 1
             result = job.finish(n_workers)
             if OBS.enabled:
-                _merge_obs(result, sp)
+                _merge_obs(result, sp, job.stage_obs)
         if OBS.enabled:
             result.trace = sp
         return result

@@ -2,7 +2,7 @@
 
 One process, many concurrent campaigns: :class:`CampaignScheduler`
 accepts :class:`~repro.service.spec.CampaignSpec` jobs, shards each
-job's fault universe, and dispatches shards onto a shared worker pool
+job's work, and dispatches shards onto a shared worker pool
 with **priority** (higher first) and **fair share** (among equal
 priorities, the job with the smallest dispatched fraction of its
 universe goes next — a small campaign is never starved behind a huge
@@ -11,16 +11,19 @@ one).  The dispatcher loop runs on a dedicated background thread, so
 where it chooses to (``job.result()`` / ``gather()``).
 
 The shard executor — pool lifecycle, dispatch, crash blame, hang and
-deadline kills — is the only code in the package that runs a
-campaign's shards: ``FaultCampaign.run`` hands its one job to the same
-loop (:meth:`CampaignScheduler._drive`, on the caller's thread).  The
-loop runs the shards of a job that does not use the pool (its work does
-not pickle, or ``workers=1``) itself, one per turn; ``OBS`` and
-``DEADLINE`` are process-wide, so its thread is the one that evaluates.
-Jobs are staged and recorded by the campaign's own per-job object
-(:class:`repro.faults.campaign._JobRun`) and evaluated by the very same
-per-fault functions, so everything an offline campaign guarantees
-carries over:
+deadline kills — is the only code in the package that runs any part of
+a campaign: ``FaultCampaign.run`` hands its one job to the same loop
+(:meth:`CampaignScheduler._drive`, on the caller's thread).  Every
+stage of a job is a shard, queued by the job itself in one order — the
+surrogate prescreen, the fault-free reference, the fault chunks — and
+every shard ships its observations home to be merged once at settle.
+The loop runs the shards of a job that does not use the pool (its work
+does not pickle, or an offline ``workers=1``) itself, one per turn;
+``OBS`` and ``DEADLINE`` are process-wide, so its thread is the one that
+evaluates.  Jobs are staged and recorded by the campaign's own per-job
+object (:class:`repro.faults.campaign._JobRun`) and evaluated by the
+very same per-fault functions, so everything an offline campaign
+guarantees carries over:
 
 * outcomes are recorded **in fault order** per job, so progress
   callbacks, heartbeats and checkpoints see the serial sequence;
@@ -28,11 +31,13 @@ carries over:
   that blows past its budget is hard-killed with the pool, its faults
   re-dispatched individually and the unresponsive one recorded as a
   structured timeout;
-* a worker crash strikes every fault in flight; suspects then run one
+* a worker crash strikes every shard in flight; suspects then run one
   shard at a time, so a fault that kills its worker twice is
-  quarantined as a poison pill while innocents are exonerated;
-* a job's campaign deadline kills the pool (other jobs' in-flight
-  shards are re-queued without a strike) instead of waiting out a hang;
+  quarantined as a poison pill while innocents are exonerated (a
+  prescreen or reference that does so fails its job);
+* a job's campaign deadline covers every stage and kills the pool
+  (other jobs' in-flight shards are re-queued without a strike) instead
+  of waiting out a hang;
 * ``spec.checkpoint``/``resume`` and a shared
   :class:`~repro.service.cache.ResultCache` short-circuit any fault
   ever computed — across jobs, runs and processes.
@@ -139,8 +144,8 @@ class CampaignJob:
             pending, self._pending_obs = self._pending_obs, None
         if pending is None:
             return
-        result, job_span, reference_obs = pending
-        _merge_obs(result, job_span, reference_obs)
+        result, job_span, stage_obs = pending
+        _merge_obs(result, job_span, stage_obs)
         if job_span is not None:
             OBS.tracer.spans.append(job_span)
 
@@ -164,9 +169,10 @@ class CampaignScheduler:
     ----------
     workers:
         Worker processes shared by all jobs (default: CPU count - 1,
-        at least 1, at most 8).  Jobs whose technique, detector,
-        target, faults or fault-free measurement cannot pickle run on
-        the dispatcher thread instead, one shard per loop turn.
+        at least 1, at most 8; ``1`` still means a one-process pool).
+        Jobs whose technique, detector, target, faults or fault-free
+        measurement cannot pickle run on the dispatcher thread instead,
+        one shard per loop turn.
     cache:
         Default :class:`~repro.service.cache.ResultCache` consulted for
         every job that does not bring its own (``spec.cache`` wins).
@@ -181,6 +187,10 @@ class CampaignScheduler:
         unset.
     name:
         Label used in health gauges and reports.
+    status_path:
+        Where to publish the live-dashboard status file that ``python
+        -m repro.obs top`` reads (default: ``$REPRO_OBS_STATUS``;
+        unset means none).  Independent of the observation scope.
     queue:
         A :class:`~repro.service.queue.PersistentJobQueue` (or a path
         to create one at) making accepted jobs durable: every
@@ -493,25 +503,7 @@ class CampaignScheduler:
                      label=job.id, best_effort_checkpoint=True)
         jr.job = job
         jr.job_span = job_span
-        jr.stage()
-        if jr.prescreened is not None and job_span is not None:
-            t_pre, n_in, n_left = jr.prescreened
-            node = Span("service.prescreen",
-                        attrs={"job": job.id, "n_faults": n_in,
-                               "decided": n_in - n_left,
-                               "escalated": n_left},
-                        t_start=t_pre)
-            node.close()
-            node.pid = os.getpid()
-            job_span.children.append(node)
-        if not jr.emit_queue:
-            return jr
-        if jr.reference is not None:
-            jr.build_shards(self.shard_size, pool=True)
-        else:
-            # the fault-free reference is itself one dispatched unit,
-            # so a slow reference never stalls other jobs' shards
-            jr.ready.append(_Shard("ref"))
+        jr.stage(self.shard_size, pool=True)
         return jr
 
     # -- dispatch loop -------------------------------------------------
@@ -719,14 +711,19 @@ class CampaignScheduler:
             jr.job_span.children.append(span)
 
     def _land(self, jr: _JobRun, shard: _Shard, payload: Any) -> None:
+        span = shard.span
         self._close_shard_span(jr, shard)
-        if jr.job.state is not JobState.RUNNING or jr.failures.deadline_hit:
+        if not self._live(jr):
             return  # cancelled, failed or past its deadline: discarded
-        if shard.kind == "ref":
-            jr.land_reference(payload)
-            jr.build_shards(self.shard_size, pool=True)
-        else:
-            jr.land(shard.indices, payload)
+        jr.land(shard, payload)
+        if shard.kind == "prescreen" and span is not None:
+            n_in, n_left = len(shard.indices), len(jr.emit_queue)
+            node = Span("service.prescreen", t_start=span.t_start, attrs={
+                "job": jr.job.id, "n_faults": n_in,
+                "decided": n_in - n_left, "escalated": n_left})
+            node.close()
+            node.pid = os.getpid()
+            jr.job_span.children.append(node)
 
     # -- failure handling ----------------------------------------------
     def _fail_job(self, jr: _JobRun, exc: BaseException) -> None:
@@ -747,8 +744,9 @@ class CampaignScheduler:
         a strike and its faults are re-queued one per shard.  While a
         suspect remains :meth:`_fill_slots` keeps one shard in flight,
         so only the poison pill crashes again — alone — and is
-        quarantined at ``_QUARANTINE_AFTER`` strikes; innocents complete
-        and are exonerated."""
+        quarantined at ``_QUARANTINE_AFTER`` strikes (a stage shard
+        fails its job instead); innocents complete and are
+        exonerated."""
         for jr, shard, _ in self._inflight.values():
             jr.inflight -= 1
             crashed.append((jr, shard))
@@ -759,17 +757,24 @@ class CampaignScheduler:
         for jr, shard in sorted(crashed, key=lambda c: c[1].indices,
                                 reverse=True):
             self._close_shard_span(jr, shard, failed="worker_crash")
-            if self._live(jr):
+            if not self._live(jr):
+                continue
+            try:
                 jr.strike(shard)
-                if jr not in struck:
-                    struck.append(jr)
+            except CampaignError as exc:
+                self._fail_job(jr, exc)
+                continue
+            if jr not in struck:
+                struck.append(jr)
         for jr in struck:
             jr.failures.worker_crashes += 1
             if OBS.enabled:
                 OBS.metrics.counter("campaign.worker_crashes").inc()
                 event("campaign.worker_crash", level="error",
-                      suspects=sorted(jr.fault_list[i].describe()
-                                      for i in jr.crash_counts),
+                      suspects=sorted(
+                          k if isinstance(k, str)
+                          else jr.fault_list[k].describe()
+                          for k in jr.crash_counts),
                       **jr.tags)
         self._count_pool_kill(struck)
 
@@ -840,7 +845,7 @@ class CampaignScheduler:
             jr.job_span.close()
         if jr.collect_obs:
             if OBS.enabled:
-                _merge_obs(result, jr.job_span, jr.reference_obs)
+                _merge_obs(result, jr.job_span, jr.stage_obs)
                 # the finished job span joins the ambient forest as a
                 # root: Session.report()/exports see one connected trace
                 OBS.tracer.spans.append(jr.job_span)
@@ -848,8 +853,7 @@ class CampaignScheduler:
                 # no scope is ambient on the dispatcher right now (the
                 # submitter is between scopes, e.g. in watch()); park
                 # the payload so the gathering thread joins it instead
-                jr.job._pending_obs = (result, jr.job_span,
-                                       jr.reference_obs)
+                jr.job._pending_obs = (result, jr.job_span, jr.stage_obs)
         jr.job.state = JobState.DONE
         if not jr.job.done():
             jr.job._future.set_result(result)

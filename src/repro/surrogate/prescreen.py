@@ -262,8 +262,8 @@ class SurrogatePrescreen:
     :class:`~repro.faults.campaign.FaultOutcome` with
     ``decided_by="surrogate"`` for faults whose surrogate score clears
     the margin band, ``None`` for everything that must run through the
-    full MNA transient.  It runs entirely in the campaign parent
-    process, before the reference simulation and any worker dispatch.
+    full MNA transient.  A campaign runs it as its job's first shard,
+    before the reference simulation and any fault shard.
     """
 
     def __init__(self, technique: Callable[[Any], Any],

@@ -7,9 +7,11 @@ are kept in their own marker so they can be selected or excluded
 explicitly (see the ``resilience-chaos`` CI job).
 """
 
+import concurrent.futures
 import os
 import pickle
 import signal
+import threading
 import time
 
 import pytest
@@ -24,7 +26,12 @@ from repro.errors import (
     ReproError,
 )
 from repro.faults import FaultCampaign, StuckAtFault
-from repro.faults.dictionary import dictionary_ladder
+from repro.faults.dictionary import (
+    SignatureDetector,
+    TransientSignatureTechnique,
+    dictionary_faults,
+    dictionary_ladder,
+)
 from repro.obs.core import observe
 from repro.resilience import (
     CampaignCheckpoint,
@@ -39,6 +46,7 @@ from repro.resilience import (
     retry_scope,
 )
 from repro.service import CampaignScheduler, CampaignSpec
+from repro.signals.prbs import prbs_waveform
 from repro.spice import Circuit, dc_operating_point, parse_netlist, transient
 from repro.verify.goldens import normalize
 
@@ -80,6 +88,14 @@ def chaos_technique(ckt):
     return measure_mid(ckt)
 
 
+def reference_killer(ckt):
+    """Technique that SIGKILLs its own process on the fault-free target
+    (no injected ``FLT_`` element) and measures every faulty copy."""
+    if not any(e.name.startswith("FLT_") for e in ckt.elements):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return measure_mid(ckt)
+
+
 def slow_transient_technique(ckt):
     """A technique dominated by engine time, so cooperative deadline
     checks inside the march are what interrupt it."""
@@ -105,6 +121,22 @@ def run_scheduler_pooled(spec):
 pooled_entry_points = pytest.mark.parametrize(
     "run_pooled", [run_campaign_pooled, run_scheduler_pooled],
     ids=["campaign", "scheduler"])
+
+
+def bounded(call, timeout):
+    """``call()`` on a daemon thread, its result or error returned here
+    within ``timeout`` seconds (``TimeoutError`` past it), so a run that
+    never settles fails its test instead of hanging the suite."""
+    fut = concurrent.futures.Future()
+
+    def target():
+        try:
+            fut.set_result(call())
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            fut.set_exception(exc)
+
+    threading.Thread(target=target, daemon=True).start()
+    return fut.result(timeout)
 
 
 def mid_faults(n=6):
@@ -552,6 +584,35 @@ class TestCampaignResilience:
         assert time.perf_counter() - t0 < 10.0
         assert res.partial
         assert res.failure_report().deadline_hit
+
+    def test_campaign_deadline_covers_the_reference(self):
+        # the fault-free reference is a stage of the run like any fault
+        # shard: a deadline that expires while it marches ends the run
+        # with every fault skipped and no reference
+        stimulus = prbs_waveform(order=7, chip_time=50e-6, low=0.0,
+                                 high=5.0, dt=1e-6, seed=3)
+        technique = TransientSignatureTechnique(t_stop=stimulus.duration,
+                                                dt=1e-6, node="n9")
+        faults = dictionary_faults(n_sections=10, n_faults=4)
+        res = FaultCampaign(technique, SignatureDetector(abs_v=0.05)).run(
+            dictionary_ladder(n_sections=10, stimulus=stimulus), faults,
+            spec=CampaignSpec(campaign_deadline_s=0.05))
+        rep = res.failure_report()
+        assert res.partial and rep.deadline_hit
+        assert res.outcomes == []
+        assert rep.skipped == [f.describe() for f in faults]
+        assert res.reference is None
+
+    @pytest.mark.chaos
+    @pooled_entry_points
+    def test_poison_reference_fails_the_job(self, run_pooled):
+        # a reference that kills its worker is struck like a fault: the
+        # second death fails the job instead of re-queueing it forever
+        spec = CampaignSpec(technique=reference_killer,
+                            detector=delta_detector, target=divider(),
+                            faults=tuple(mid_faults(2)))
+        with pytest.raises(CampaignError, match="ref stage killed"):
+            bounded(lambda: run_pooled(spec), timeout=60)
 
     def test_checkpoint_written_and_resumable_noop(self, tmp_path):
         """A completed run leaves a checkpoint that a re-run consumes

@@ -341,6 +341,24 @@ class TestServiceTrace:
         assert scheduled.n_prescreened == standalone.n_prescreened > 0
 
     @pytest.mark.surrogate
+    def test_service_prescreen_runs_inside_its_job(self):
+        # the prescreen is a shard of its job: its spans graft under the
+        # job span, not into whatever scope the dispatcher sees
+        s = Session(workers=2, name="pretrace")
+        try:
+            result, = s.gather(s.submit(_dictionary_spec(
+                prescreen="surrogate")))
+        finally:
+            s.shutdown()
+        assert result.n_prescreened > 0
+        assert [sp.name for sp in s.tracer.spans] == ["service.submit",
+                                                      "service.job"]
+        job_span = s.tracer.spans[1]
+        assert "surrogate.prescreen" in _span_names(job_span)
+        assert "service.prescreen" in _span_names(job_span)
+        assert orphan_spans(s.tracer) == []
+
+    @pytest.mark.surrogate
     def test_surrogate_verdicts_stay_in_their_cache_context(self):
         cache = ResultCache()
         spec = _dictionary_spec(prescreen="surrogate", cache=cache)
