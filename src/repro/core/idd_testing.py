@@ -18,15 +18,14 @@ complementarity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.transient_test import TransientTestConfig
+from repro.core.transient_test import TransientRecipe, TransientTestConfig
 from repro.signals.waveform import Waveform
-from repro.spice.elements import VoltageSource
 from repro.spice.netlist import Circuit
-from repro.spice.transient import transient
+from repro.spice.transient import TransientResult
 
 
 @dataclass
@@ -50,8 +49,13 @@ class IddMeasurement:
         )
 
 
-class IddTester:
+class IddTester(TransientRecipe):
     """Dynamic-Idd test: PRBS stimulus, supply current observed.
+
+    The transient recipe with the supply's branch current as the
+    observation.  The surrogate prescreen models node voltages only, so
+    this technique has no surrogate route (a prescreen escalates every
+    fault).
 
     Parameters
     ----------
@@ -66,6 +70,8 @@ class IddTester:
         The stimulus entry point.
     """
 
+    surrogate_workload = None
+
     def __init__(self, config: Optional[TransientTestConfig] = None,
                  supply_name: str = "VDD",
                  source_name: str = "VIN") -> None:
@@ -73,34 +79,29 @@ class IddTester:
         self.supply_name = supply_name
         self.source_name = source_name
 
+    @property
+    def dt(self) -> float:
+        return self.config.sim_dt_s
+
+    def stimulus(self) -> Waveform:
+        return self.config.stimulus()
+
+    def recorded(self) -> Dict[str, List[str]]:
+        return {"record": [], "record_branches": [self.supply_name]}
+
+    def observe(self, result: TransientResult) -> Waveform:
+        return result.branch_current(self.supply_name)
+
+    def postprocess(self, y: Waveform, stimulus: Waveform) -> IddMeasurement:
+        """The MNA branch current of a source is the current flowing
+        into its + terminal; for a supply pushing current *out* of VDD
+        that value is negative, so the sign is flipped to report
+        conventional draw."""
+        return IddMeasurement.from_waveform(-1.0 * y)
+
     def measure(self, circuit: Circuit) -> IddMeasurement:
-        """Run the transient and record the supply current.
-
-        The MNA branch current of a source is the current flowing into
-        its + terminal; for a supply pushing current *out* of VDD that
-        value is negative, so the sign is flipped to report conventional
-        draw.
-        """
-        cfg = self.config
-        stimulus = cfg.stimulus()
-        prepared = circuit.copy()
-        source = prepared.element(self.source_name)
-        if not isinstance(source, VoltageSource):
-            raise TypeError(f"{self.source_name!r} is not a voltage source")
-        source.value = stimulus
-        result = transient(prepared, t_stop=stimulus.duration,
-                           dt=cfg.sim_dt_s,
-                           record=[],
-                           record_branches=[self.supply_name])
-        current = -1.0 * result.branch_current(self.supply_name)
-        return IddMeasurement.from_waveform(current)
-
-    # ------------------------------------------------------------------
-    def technique(self) -> Callable[[Circuit], Waveform]:
-        """Campaign measurement callable: the Idd waveform."""
-        def run(circuit: Circuit) -> Waveform:
-            return self.measure(circuit).current
-        return run
+        """Run the transient and record the supply current."""
+        return self(circuit)
 
 
 def idd_detection(reference: IddMeasurement, faulty: IddMeasurement,

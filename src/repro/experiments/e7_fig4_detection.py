@@ -15,6 +15,7 @@ circuits 1 and 2 sit high in the band.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -108,19 +109,26 @@ class Fig4Result:
         return result_report(self)
 
 
+def circuit1_campaign(config: TransientTestConfig = CIRCUIT1_CONFIG,
+                      rel_threshold: float = CIRCUIT1_REL_THRESHOLD
+                      ) -> FaultCampaign:
+    """Circuit 1's PRBS correlation campaign.  The detector is a
+    ``functools.partial``, so it pickles to pool workers and its
+    threshold reaches the cache and checkpoint keys."""
+    return FaultCampaign(
+        technique=TransientResponseTester(config).technique(),
+        detector=functools.partial(detection_instances,
+                                   rel_threshold=rel_threshold),
+        threshold=0.05,
+    )
+
+
 def run_circuit1(config: TransientTestConfig = CIRCUIT1_CONFIG,
                  rel_threshold: float = CIRCUIT1_REL_THRESHOLD
                  ) -> CampaignResult:
     """The 16-fault PRBS correlation campaign on OP1 (circuit 1)."""
-    tester = TransientResponseTester(config)
-    campaign = FaultCampaign(
-        technique=tester.technique(),
-        detector=lambda ref, m: detection_instances(
-            ref, m, rel_threshold=rel_threshold),
-        threshold=0.05,
-    )
-    return campaign.run(op1_follower(input_value=2.5),
-                        paper_circuit1_faults())
+    return circuit1_campaign(config, rel_threshold).run(
+        op1_follower(input_value=2.5), paper_circuit1_faults())
 
 
 def run_circuits23(config: Optional[ImpulseMethodConfig] = None):

@@ -61,14 +61,6 @@ _ERROR_UNDETECTED = "undetected"
 #: fatal worker crashes before a fault is quarantined as a poison pill.
 _QUARANTINE_AFTER = 2
 
-#: Sentinel a technique's ``evaluate_batch`` returns in a measurement
-#: slot for a fault it could not carry through the batched engine (e.g.
-#: injection failed, or the variant was evicted mid-march).  The
-#: campaign re-evaluates that fault through the serial per-fault path,
-#: so the final :class:`FaultOutcome` is identical to a ``batch_size=1``
-#: run.  Never crosses a process boundary: workers resolve fallbacks
-#: in-process before returning.
-BATCH_FALLBACK = object()
 
 @dataclass
 class FaultOutcome:
@@ -422,14 +414,15 @@ def _evaluate_fault_batch(technique, detector, threshold, on_error,
     """Evaluate a chunk of faults through the technique's batched path.
 
     ``technique.evaluate_batch(target, faults)`` returns one measurement
-    per fault, with :data:`BATCH_FALLBACK` (or ``None``) in any slot the
-    batch could not serve.  Fallback slots — and the entire chunk when
-    the batch attempt raises, returns the wrong shape, or exhausts one
-    per-fault deadline budget — are re-evaluated through
-    :func:`_evaluate_fault`, each under its own fresh budget, so the
-    outcome set is fault-for-fault identical to the serial path
-    (including timeout verdicts: a chunk that hangs costs one budget,
-    then every member gets its own serial-identical evaluation).
+    per fault, with ``None`` in any slot the batch could not serve
+    (injection failed, the variant was evicted mid-march).  Those slots
+    — and the entire chunk when the batch attempt raises, returns the
+    wrong shape, or exhausts one per-fault deadline budget — are
+    re-evaluated through :func:`_evaluate_fault`, each under its own
+    fresh budget, so the outcome set is fault-for-fault identical to the
+    serial path (including timeout verdicts: a chunk that hangs costs
+    one budget, then every member gets its own serial-identical
+    evaluation).
 
     Module-level for the same pickling reason as :func:`_evaluate_fault`.
     When ``collect_obs`` is set the chunk's shipped fields ride back on
@@ -474,14 +467,13 @@ def _evaluate_batch_plain(technique, detector, threshold, on_error,
     if OBS.enabled:
         OBS.metrics.counter("campaign.batches").inc()
     n_batched = (0 if measurements is None
-                 else sum(1 for m in measurements
-                          if m is not BATCH_FALLBACK and m is not None))
+                 else sum(1 for m in measurements if m is not None))
     share = batch_elapsed / max(n_batched, 1)
     outcomes: List[FaultOutcome] = []
     batch_slots: List[int] = []
     for i, fault in enumerate(faults):
-        meas = BATCH_FALLBACK if measurements is None else measurements[i]
-        if meas is BATCH_FALLBACK or meas is None:
+        meas = None if measurements is None else measurements[i]
+        if meas is None:
             if OBS.enabled:
                 OBS.metrics.counter("campaign.batch_fallbacks").inc()
             outcomes.append(_evaluate_fault(

@@ -10,8 +10,9 @@ campaign tests and the ``batched`` bench suite of :mod:`repro.obs.bench`
 (the 64-fault dictionary speedup benchmark).
 
 Everything here is picklable (classes, not closures) so dictionary
-campaigns compose with ``workers=N``, and the technique implements the
-campaign batch protocol (``evaluate_batch``) so they compose with
+campaigns compose with ``workers=N``.  The technique is a configuration
+of :class:`~repro.core.transient_test.TransientRecipe`, so it speaks the
+campaign batch protocol (``evaluate_batch``) and composes with
 ``batch_size=K`` — the configuration the batched engine was built for:
 K nearly identical linear variants marched in lockstep.
 """
@@ -19,83 +20,40 @@ K nearly identical linear variants marched in lockstep.
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
+from repro.core.transient_test import TransientRecipe
 from repro.faults.model import BridgingFault, Fault
 from repro.signals.prbs import prbs_waveform
 from repro.signals.waveform import Waveform
 from repro.spice.netlist import Circuit
 from repro.spice.elements import Capacitor, Resistor, VoltageSource
-from repro.spice.transient import transient
 
 __all__ = ["TransientSignatureTechnique", "SignatureDetector",
            "dictionary_ladder", "dictionary_faults"]
 
 
-class TransientSignatureTechnique:
+class TransientSignatureTechnique(TransientRecipe):
     """Measurement = the raw sampled transient response at one node.
 
     The classic dictionary signature: no correlation, no windowing —
-    the sampled waveform itself.  Calling the technique simulates one
-    circuit; ``evaluate_batch`` marches a whole fault chunk through
-    :func:`repro.spice.batched.batched_transient` in lockstep, returning
-    bitwise-identical arrays to the per-fault path (the campaign
-    re-evaluates any slot the batch cannot serve).
+    the sampled waveform itself.  The stimulus is whatever time-varying
+    source the netlist carries; every route (serial call, lockstep
+    ``evaluate_batch``, surrogate workload) is the transient recipe's.
     """
 
     def __init__(self, t_stop: float, dt: float, node: str,
                  method: str = "be") -> None:
         self.t_stop = t_stop
         self.dt = dt
-        self.node = node
+        self.output_node = node
         self.method = method
 
-    def __call__(self, circuit: Circuit) -> np.ndarray:
-        result = transient(circuit, self.t_stop, self.dt,
-                           record=[self.node], method=self.method)
-        return result.array(self.node)
-
-    def evaluate_batch(self, target: Circuit,
-                       faults: Sequence[Fault]) -> list:
-        from repro.faults.campaign import BATCH_FALLBACK
-        from repro.faults.injector import inject
-        from repro.spice.batched import batched_transient
-
-        out = [BATCH_FALLBACK] * len(faults)
-        variants: List[Circuit] = []
-        slots: List[int] = []
-        for i, fault in enumerate(faults):
-            try:
-                variants.append(inject(target, fault))
-            except Exception:  # noqa: BLE001 - serial re-run owns the error
-                continue
-            slots.append(i)
-        if not variants:
-            return out
-        results = batched_transient(variants, self.t_stop, self.dt,
-                                    record=[self.node], method=self.method)
-        for slot, result in zip(slots, results):
-            if result is not None:
-                out[slot] = result.array(self.node)
-        return out
-
-    def surrogate_workload(self, target: Circuit):
-        """Surrogate-prescreen protocol: the stimulus is whatever
-        time-varying voltage source the netlist carries (the dictionary
-        bakes it in), the measurement is the raw sample array."""
-        from repro.surrogate.prescreen import SurrogateWorkload, waveform_source
-
-        source_name, stimulus = waveform_source(target, self.dt,
-                                                self.t_stop)
-        return SurrogateWorkload(source_name=source_name,
-                                 output_node=self.node,
-                                 dt=self.dt,
-                                 t_stop=self.t_stop,
-                                 stimulus=stimulus,
-                                 postprocess=lambda y: y.values,
-                                 method=self.method)
+    def postprocess(self, y: Waveform,
+                    stimulus: Optional[Waveform]) -> np.ndarray:
+        return y.values
 
 
 class SignatureDetector:

@@ -181,10 +181,6 @@ class CampaignScheduler:
     shard_size:
         Faults per dispatched shard for techniques without a batched
         path (batched techniques shard at ``spec.batch_size``).
-    timeout_grace_s:
-        Seconds past a shard's per-fault budgets before its worker is
-        hard-killed, for jobs whose spec leaves ``timeout_grace_s``
-        unset.
     name:
         Label used in health gauges and reports.
     status_path:
@@ -206,7 +202,6 @@ class CampaignScheduler:
     def __init__(self, workers: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
                  shard_size: int = DEFAULT_SHARD_SIZE,
-                 timeout_grace_s: float = 1.0,
                  name: str = "scheduler",
                  status_path: Optional[str] = None,
                  queue: Optional[Any] = None) -> None:
@@ -221,7 +216,6 @@ class CampaignScheduler:
             queue = PersistentJobQueue(os.fspath(queue))
         self.queue: Optional[PersistentJobQueue] = queue
         self.shard_size = shard_size
-        self.timeout_grace_s = timeout_grace_s
         self.name = name
         # live-dashboard status file (``python -m repro.obs top`` reads
         # it); independent of OBS.enabled because watching progress
@@ -258,7 +252,7 @@ class CampaignScheduler:
         if not isinstance(spec, CampaignSpec):
             raise TypeError("submit() takes a CampaignSpec")
         spec.require_workload()
-        resolved = spec.resolved(timeout_grace_s=self.timeout_grace_s)
+        resolved = spec.resolved()
         job = CampaignJob(f"{self.name}-job{next(self._ids)}", resolved,
                           spec.priority if priority is None else priority)
         if self.queue is not None:

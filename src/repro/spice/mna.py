@@ -197,10 +197,11 @@ class Assembler:
     static matrix, the vectorised MOSFET group and LU reuse;
     ``fast_path=False`` restamps every element through its Python
     ``stamp()`` on every build, exactly as the original engine did.
+    On the fast path, a circuit with at least :func:`sparse_threshold`
+    unknowns solves through CSC/SuperLU instead of dense LAPACK.
     """
 
-    def __init__(self, circuit: Circuit, fast_path: bool = True,
-                 sparse: Optional[bool] = None) -> None:
+    def __init__(self, circuit: Circuit, fast_path: bool = True) -> None:
         self.circuit = circuit
         self.fast_path = fast_path
         self.index = circuit.node_index()
@@ -217,14 +218,8 @@ class Assembler:
         self.node_names = circuit.nodes()
         self._scratch = MNASystem(self.n)
         self._node_diag = np.arange(self.n_nodes)
-        #: route solves through CSC/SuperLU instead of dense LAPACK.
-        #: Auto-selected by unknown count (see :func:`sparse_threshold`);
-        #: only meaningful on the fast path (the reference engine stays
-        #: dense by definition).
-        if sparse is None:
-            self.use_sparse = fast_path and self.n >= sparse_threshold()
-        else:
-            self.use_sparse = bool(sparse) and fast_path
+        #: the reference engine (``fast_path=False``) stays dense
+        self.use_sparse = fast_path and self.n >= sparse_threshold()
 
         # --- stamp partition ------------------------------------------
         from repro.spice.elements import (

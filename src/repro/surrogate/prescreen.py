@@ -24,7 +24,10 @@ Escalation is always safe: the surrogate never invents a verdict, it
 only skips work whose outcome is not in doubt.
 
 Techniques opt in by exposing ``surrogate_workload(target)`` returning a
-:class:`SurrogateWorkload`; techniques without the hook simply escalate
+:class:`SurrogateWorkload`.  Every configuration of
+:class:`~repro.core.transient_test.TransientRecipe` derives it from the
+same stimulus, observed node, grid and post-processing its serial and
+batched routes use.  Techniques without the hook simply escalate
 everything (the campaign behaves exactly as if no prescreen were
 configured).
 """
@@ -105,9 +108,9 @@ class PrescreenConfig:
 class SurrogateWorkload:
     """What a technique must describe for the surrogate to stand in.
 
-    ``prepare`` (optional) maps a faulty circuit copy to the circuit the
-    technique actually simulates (e.g. wiring the PRBS into the input
-    source); ``postprocess`` maps the simulated output waveform to the
+    ``prepare`` maps a faulty circuit copy to the circuit the technique
+    actually simulates (e.g. wiring the PRBS into the input source);
+    ``postprocess`` maps the simulated output waveform to the
     measurement object the campaign's detector consumes (e.g. the
     windowed correlation, or the raw sample array).  ``method`` names
     the integration method the technique's transient uses ("be" or
@@ -124,11 +127,8 @@ class SurrogateWorkload:
     t_stop: float
     stimulus: Waveform
     postprocess: Callable[[Waveform], Any]
-    prepare: Optional[Callable[[Any], Any]] = None
+    prepare: Callable[[Any], Any]
     method: str = "be"
-
-    def prepared(self, circuit: Any) -> Any:
-        return circuit if self.prepare is None else self.prepare(circuit)
 
 
 def sample_grid(config: PrescreenConfig, dt: float,
@@ -208,7 +208,7 @@ def surrogate_measurement(circuit: Any, workload: SurrogateWorkload,
     ``u`` accepts the pre-sampled stimulus (every fault shares it, so
     the prescreen samples once per campaign instead of once per fault).
     """
-    prepared = workload.prepared(circuit)
+    prepared = workload.prepare(circuit)
     model, y_op = _fit_path(prepared, workload.source_name,
                             workload.output_node, config, fitter, s_points)
     if u is None:

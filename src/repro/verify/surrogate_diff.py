@@ -40,20 +40,6 @@ from repro.verify.generate import GeneratedCircuit, generate_circuit
 SURROGATE_KINDS = ("rc", "rlc")
 
 
-class DetectionInstancesDetector:
-    """Picklable form of E7's detection-instances detector (the
-    experiment module uses a lambda, which cannot cross process-pool
-    boundaries)."""
-
-    def __init__(self, rel_threshold: float = 0.02) -> None:
-        self.rel_threshold = rel_threshold
-
-    def __call__(self, reference: Any, measurement: Any) -> float:
-        from repro.core.detection import detection_instances
-        return detection_instances(reference, measurement,
-                                   rel_threshold=self.rel_threshold)
-
-
 @dataclass
 class SurrogateMismatch:
     """One fault where the prescreened campaign diverged from the
@@ -285,19 +271,15 @@ def run_surrogate_differential(
 
 def e7_workload():
     """(target, technique, detector, faults, threshold) of the paper's
-    circuit-1 campaign (E7/Figure 4), with a picklable detector."""
+    circuit-1 campaign (E7/Figure 4)."""
     from repro.circuits.op1 import op1_follower
-    from repro.experiments.e7_fig4_detection import (
-        CIRCUIT1_CONFIG,
-        CIRCUIT1_REL_THRESHOLD,
-    )
-    from repro.core.transient_test import TransientResponseTester
+    from repro.experiments.e7_fig4_detection import circuit1_campaign
     from repro.faults.universe import paper_circuit1_faults
 
-    tester = TransientResponseTester(CIRCUIT1_CONFIG)
-    return (op1_follower(input_value=2.5), tester.technique(),
-            DetectionInstancesDetector(CIRCUIT1_REL_THRESHOLD),
-            tuple(paper_circuit1_faults()), 0.05)
+    campaign = circuit1_campaign()
+    return (op1_follower(input_value=2.5), campaign.technique,
+            campaign.detector, tuple(paper_circuit1_faults()),
+            campaign.threshold)
 
 
 def run_e7_surrogate(config: Optional[PrescreenConfig] = None,
@@ -330,7 +312,6 @@ def run_e7_surrogate(config: Optional[PrescreenConfig] = None,
 
 __all__ = [
     "SURROGATE_KINDS",
-    "DetectionInstancesDetector",
     "SurrogateMismatch",
     "SurrogateDiffReport",
     "compare_campaigns",

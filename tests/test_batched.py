@@ -11,6 +11,7 @@ slots and process pools — with wall-clock fields as the only permitted
 difference.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 from repro.circuits.op1 import op1_follower
 from repro.core.detection import detection_instances
 from repro.core.transient_test import TransientResponseTester, TransientTestConfig
-from repro.faults.campaign import BATCH_FALLBACK, FaultCampaign
+from repro.faults.campaign import FaultCampaign
 from repro.faults.dictionary import (
     SignatureDetector,
     TransientSignatureTechnique,
@@ -355,6 +356,56 @@ def test_campaign_e7_universe_batched_matches_serial():
             assert np.array_equal(s.measurement.values, b.measurement.values)
 
 
+# --- route agreement: serial, batched and surrogate routes of a technique --
+
+_ROUTE_CONFIG = TransientTestConfig(low_v=2.0, high_v=3.5, sim_dt_s=10e-6)
+
+
+def _route_cases():
+    op1 = op1_follower(input_value=2.5)
+    op1_faults = paper_circuit1_faults()[:3]
+    ladder = dictionary_ladder(4)
+    return {
+        "correlation": (TransientResponseTester(_ROUTE_CONFIG).technique(),
+                        op1, op1_faults),
+        "correlation_noisy": (TransientResponseTester(
+            dataclasses.replace(_ROUTE_CONFIG, noise_sigma_v=0.05)
+        ).technique(), op1, op1_faults),
+        "signature": (TransientSignatureTechnique(t_stop=2e-4, dt=1e-6,
+                                                  node="n3"),
+                      ladder, dictionary_faults(4, n_faults=4)),
+    }
+
+
+def _values(measurement):
+    return getattr(measurement, "values", measurement)
+
+
+@pytest.mark.parametrize("case", ["correlation", "correlation_noisy",
+                                  "signature"])
+def test_technique_routes_agree_bitwise(case):
+    """A technique's serial call, its batched chunk and its surrogate
+    workload's post-processing (applied to the serial MNA response)
+    give one measurement, bit for bit."""
+    technique, target, faults = _route_cases()[case]
+    serial = [technique(inject(target, f)) for f in faults]
+    batched = technique.evaluate_batch(target, faults)
+    assert len(batched) == len(faults)
+    for s, b in zip(serial, batched):
+        assert np.array_equal(_values(s), _values(b))
+
+    workload = technique.surrogate_workload(target)
+    for circuit, want in [(target, technique(target))] + list(
+            zip([inject(target, f) for f in faults], serial)):
+        wired = circuit.copy()
+        wired.element(workload.source_name).value = workload.stimulus
+        y = transient(wired, workload.t_stop, workload.dt,
+                      record=[workload.output_node],
+                      method=workload.method)[workload.output_node]
+        assert np.array_equal(_values(workload.postprocess(y)),
+                              _values(want))
+
+
 def test_campaign_rejects_bad_batch_size():
     with pytest.raises(ValueError):
         _dictionary_campaign(batch_size=0)
@@ -364,14 +415,14 @@ def test_campaign_rejects_bad_batch_size():
 
 class _FallbackTechnique:
     """Batch protocol implementation that serves nothing: every slot
-    comes back BATCH_FALLBACK, so the campaign must reproduce the serial
+    comes back ``None``, so the campaign must reproduce the serial
     path exactly through per-fault re-runs."""
 
     def __call__(self, circuit):
         return transient(circuit, 1e-5, 1e-7, record=["b"]).array("b")
 
     def evaluate_batch(self, target, faults):
-        return [BATCH_FALLBACK] * len(faults)
+        return [None] * len(faults)
 
 
 def test_campaign_batch_fallback_reproduces_serial():

@@ -165,7 +165,7 @@ class TestTransientTester:
     def test_non_source_rejected(self):
         tester = TransientResponseTester(FAST_CONFIG, source_name="RL")
         with pytest.raises(TypeError):
-            tester.prepared_circuit(op1_follower(input_value=2.5))
+            tester.prepare(op1_follower(input_value=2.5), tester.stimulus())
 
     def test_window_validation(self):
         cfg = TransientTestConfig(window_chips=(1.0, -1.0))

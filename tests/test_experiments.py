@@ -173,6 +173,28 @@ class TestE7Fig4:
     def test_circuit1_high_band(self, result):
         assert min(result.series()["circuit1"]) >= 90.0
 
+    def test_circuit1_detector_has_an_identity(self):
+        """The circuit-1 detector pickles to pool workers, and its
+        threshold reaches the cache/checkpoint context key."""
+        import pickle
+
+        from repro.circuits.op1 import op1_follower
+        from repro.faults.universe import paper_circuit1_faults
+        from repro.service import CampaignSpec
+
+        def key(rel_threshold):
+            campaign = e7_fig4_detection.circuit1_campaign(
+                rel_threshold=rel_threshold)
+            pickle.loads(pickle.dumps(campaign.detector))
+            return CampaignSpec(technique=campaign.technique,
+                                detector=campaign.detector,
+                                target=op1_follower(input_value=2.5),
+                                faults=tuple(paper_circuit1_faults())
+                                ).context_key()
+
+        assert key(0.02) == key(0.02)
+        assert key(0.02) != key(0.5)
+
 
 class TestE8ZDomain:
     @pytest.fixture(scope="class")

@@ -104,6 +104,23 @@ class TestIddTester:
         with pytest.raises(TypeError):
             tester.measure(op1_follower(input_value=2.5))
 
+    def test_campaign_routes(self, reference):
+        """The tester is a campaign technique: it pickles, its batched
+        chunk equals per-fault measurements bitwise, and it offers no
+        surrogate route (the surrogate models node voltages only)."""
+        import pickle
+
+        tester = pickle.loads(pickle.dumps(IddTester(FAST)))
+        target = op1_follower(input_value=2.5)
+        faults = [StuckAtFault.sa0("4"), StuckAtFault.sa1("7")]
+        batched = tester.evaluate_batch(target, faults)
+        for fault, got in zip(faults, batched):
+            want = tester(inject(target, fault))
+            assert np.array_equal(got.current.values, want.current.values)
+        assert np.array_equal(tester(target).current.values,
+                              reference.current.values)
+        assert getattr(tester, "surrogate_workload", None) is None
+
 
 class TestParseValue:
     @pytest.mark.parametrize("text,expected", [

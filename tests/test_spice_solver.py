@@ -209,7 +209,7 @@ class TestStallRule:
         tester = TransientResponseTester(CIRCUIT1_CONFIG)
         base = op1_follower(input_value=2.5)
         circuits = [base] + [inject(base, f) for f in paper_circuit1_faults()]
-        return ([tester.prepared_circuit(c) for c in circuits],
+        return ([tester.prepare(c, tester.stimulus()) for c in circuits],
                 CIRCUIT1_CONFIG)
 
     @staticmethod
