@@ -85,9 +85,12 @@ class SigmaDeltaModulator:
             raise ValueError("n_cycles must be >= 1")
         bits = np.empty(n_cycles, dtype=int)
         dt = 1.0 / self.clock_hz
-        for k in range(n_cycles):
-            x = v_in.value_at(k * dt) if isinstance(v_in, Waveform) \
-                else float(v_in)
+        if isinstance(v_in, Waveform):
+            # one vector call: a scalar Waveform call costs O(len(values))
+            levels = v_in(np.arange(n_cycles) * dt)
+        else:
+            levels = np.full(n_cycles, float(v_in))
+        for k, x in enumerate(levels.tolist()):
             bits[k] = self.step(x)
         return bits
 

@@ -97,11 +97,8 @@ def run(design: Optional[SCIntegratorDesign] = None,
     result = transient(ckt, t_stop=duration, dt=sim_dt_s, record=["out"])
     out = result["out"]
     # Sample the output at the end of each clock period and fit the slope.
-    samples = []
-    for k in range(1, n_cycles + 1):
-        samples.append(out.value_at(k * design.clock_period_s
-                                    - 2.0 * sim_dt_s))
-    samples = np.asarray(samples)
+    samples = out(np.arange(1, n_cycles + 1) * design.clock_period_s
+                  - 2.0 * sim_dt_s)
     # skip the first cycles (start-up) and fit per-cycle step
     k = np.arange(len(samples))
     fit = np.polyfit(k[2:], samples[2:], 1)

@@ -536,6 +536,26 @@ def _evaluate_shard(evaluate, faults: List[Fault]) -> List[FaultOutcome]:
     return [evaluate(f) for f in faults]
 
 
+class _Unpicklable:
+    """What a pooled reference stage hands back in place of a
+    measurement that cannot be pickled (a class, so it keeps its
+    identity across the process boundary)."""
+
+
+def _picklable(call: Callable[[], Any]) -> Any:
+    """``call()``, or :class:`_Unpicklable` when its value cannot be
+    pickled back from the pool worker this runs in.  Probing in the
+    worker tells an unpicklable value from a stage that raised (which
+    fails its job at once), and the stage's observations still ship
+    home.  Module-level so a pool can pickle it."""
+    value = call()
+    try:
+        pickle.dumps(value)
+    except Exception:  # noqa: BLE001 - any failure means in-process
+        return _Unpicklable
+    return value
+
+
 def _job_name(spec: CampaignSpec) -> str:
     return spec.name or getattr(spec.target, "name",
                                 type(spec.target).__name__)
@@ -747,6 +767,8 @@ class _JobRun:
             return functools.partial(_evaluate_shard, self.evaluate, faults)
         if shard.kind == "ref":
             call = functools.partial(spec.technique, spec.target)
+            if self.pooled:
+                call = functools.partial(_picklable, call)
         else:
             from repro.surrogate.prescreen import SurrogatePrescreen
             call = functools.partial(SurrogatePrescreen(
@@ -818,6 +840,12 @@ class _JobRun:
             payload, shipped = payload
             self.stage_obs.append(shipped)
         if shard.kind == "ref":
+            if payload is _Unpicklable:
+                # the fault chunks would carry the reference to the
+                # pool, so the job runs in-process from here on
+                self.pooled = False
+                self.ready.appendleft(shard)
+                return
             self.reference = payload
         else:
             escalated: List[int] = []

@@ -53,7 +53,6 @@ import concurrent.futures
 import enum
 import itertools
 import os
-import pickle
 import re
 import threading
 import time
@@ -80,11 +79,6 @@ from repro.service.spec import CampaignSpec
 #: to amortise dispatch, small enough that fair-share interleaving is
 #: visible between concurrent jobs.
 DEFAULT_SHARD_SIZE = 4
-
-#: what pickling an object that cannot cross a process boundary raises
-#: (``Can't pickle local object``, ``cannot pickle '_thread.lock'``).
-_PICKLE_ERRORS = (pickle.PicklingError, AttributeError, TypeError)
-
 
 class JobState(enum.Enum):
     PENDING = "pending"
@@ -676,14 +670,6 @@ class CampaignScheduler:
                 continue
             except Exception as exc:  # noqa: BLE001 - fails this job only
                 self._close_shard_span(jr, shard, failed="exception")
-                if (shard.kind == "ref" and self._live(jr)
-                        and isinstance(exc, _PICKLE_ERRORS)):
-                    # a technique, target or measurement that does not
-                    # pickle: compute the reference in-process (a
-                    # technique that itself raised fails the job there)
-                    jr.pooled = False
-                    jr.requeue(shard)
-                    continue
                 self._fail_job(jr, exc)
                 continue
             self._land(jr, shard, payload)

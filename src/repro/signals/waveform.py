@@ -91,6 +91,11 @@ class Waveform:
 
         Times outside the sampled span clamp to the end values, which is
         the natural behaviour for a held source driving a circuit.
+
+        Every call builds the sample-time vector, so even a scalar call
+        costs O(len(values)): a hot loop should pass all its times as
+        one vector.  The vector call equals the per-time scalar calls
+        bitwise.
         """
         t_arr = np.asarray(t, dtype=float)
         result = np.interp(t_arr, self.times, self.values)

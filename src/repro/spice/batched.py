@@ -220,7 +220,7 @@ class BatchedMarch:
         def step(x, out):
             np.matmul(a, x[:, :, None], out=out[:, :, None])
 
-        recur(step, x_all, const, tv, self.grid.times, "batched linear march")
+        recur(step, x_all, const, tv, self.grid, "batched linear march")
         if OBS.enabled:
             OBS.metrics.counter("batched.lockstep_groups").inc()
             OBS.metrics.counter("batched.lockstep_steps").inc(

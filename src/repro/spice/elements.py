@@ -17,7 +17,11 @@ SourceValue = Union[float, int, Callable[[float], float], Waveform]
 
 
 def evaluate_source(value: SourceValue, t: float) -> float:
-    """Resolve a source value: constant, callable of time, or Waveform."""
+    """Resolve a source value: constant, callable of time, or Waveform.
+
+    A Waveform's scalar call costs O(len(values)), so a loop over many
+    times should sample it once with a time vector instead (as the
+    transient marches do, through ``MarchGrid.levels``)."""
     if isinstance(value, Waveform):
         return value.value_at(t)
     if callable(value):
@@ -303,7 +307,7 @@ class VoltageSource(Element):
         sys.add_g(m, j, -1.0)
         sys.add_g(j, p, 1.0)
         sys.add_g(j, m, -1.0)
-        sys.add_b(j, self.level(state.t) * state.source_scale)
+        sys.add_b(j, state.source_level(self) * state.source_scale)
 
     def stamp_static(self, sys, state) -> None:
         p, m = self._idx
@@ -314,7 +318,8 @@ class VoltageSource(Element):
         sys.add_g(j, m, -1.0)
 
     def stamp_dynamic(self, sys, state) -> None:
-        sys.add_b(self._branch, self.level(state.t) * state.source_scale)
+        sys.add_b(self._branch,
+                  state.source_level(self) * state.source_scale)
 
     def stamp_ac(self, g, c, op) -> None:
         p, m = self._idx
@@ -347,7 +352,7 @@ class CurrentSource(Element):
 
     def stamp(self, sys, state) -> None:
         a, b = self._idx
-        sys.add_current(a, b, self.level(state.t) * state.source_scale)
+        sys.add_current(a, b, state.source_level(self) * state.source_scale)
 
     def ac_input_vector(self, b_vec: np.ndarray) -> None:
         a, b = self._idx

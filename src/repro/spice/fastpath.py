@@ -344,13 +344,19 @@ def _source_columns(circuit, n: int,
 
 def recur(step: Callable[[np.ndarray, np.ndarray], Any],
           x_all: np.ndarray, const: np.ndarray,
-          tv: Sequence[Tuple[np.ndarray, object]], times: np.ndarray,
+          tv: Sequence[Tuple[np.ndarray, object]], grid: Any,
           label: str) -> None:
     """Fill ``x_all[1:]`` with ``x_k = step(x_{k-1}) + const +
-    sum_s level_s(t_k) c_s`` from ``x_all[0]``, where ``step(x, out)``
-    writes the coupling term into ``out``.  One loop serves the dense
-    and sparse K = 1 marches and the batched ``(K, n)`` stack, so each
-    grid point adds the same terms in the same order on every route."""
+    sum_s level_s(t_k) c_s`` from ``x_all[0]`` over the
+    :class:`~repro.spice.transient.MarchGrid` ``grid``, where
+    ``step(x, out)`` writes the coupling term into ``out``.  One loop
+    serves the dense and sparse K = 1 marches and the batched ``(K, n)``
+    stack, so each grid point adds the same terms in the same order on
+    every route.  Each Waveform source is read from the grid's one
+    vector sampling (:meth:`~repro.spice.transient.MarchGrid.levels`);
+    other callables are evaluated per point."""
+    times = grid.times
+    sources = [(col, value, grid.levels(value)) for col, value in tv]
     # Cooperative cancellation: once after the march's setup (its
     # factorisation may have used up the budget), then amortised to one
     # clock read per 256 recurrence steps so the hot loop stays hot.
@@ -363,10 +369,10 @@ def recur(step: Callable[[np.ndarray, np.ndarray], Any],
         row = x_all[k]
         step(x, row)
         row += const
-        if tv:
-            t = times[k]
-            for col, value in tv:
-                row += evaluate_source(value, t) * col
+        for col, value, levels in sources:
+            level = (evaluate_source(value, times[k]) if levels is None
+                     else levels[k])
+            row += level * col
         x = row
 
 
@@ -430,13 +436,14 @@ class LinearMarch:
         self._const, self._tv = _source_columns(assembler.circuit, n,
                                                 response)
 
-    def run(self, x0: np.ndarray, times: np.ndarray) -> Optional[np.ndarray]:
-        """March the recurrence; rows of the result are the solutions at
-        ``times``.  Returns ``None`` on numerical breakdown (caller falls
-        back to the generic engine)."""
-        x_all = np.empty((len(times), self.n))
+    def run(self, x0: np.ndarray, grid: Any) -> Optional[np.ndarray]:
+        """March the recurrence over the
+        :class:`~repro.spice.transient.MarchGrid` ``grid``; rows of the
+        result are the solutions at ``grid.times``.  Returns ``None`` on
+        numerical breakdown (caller falls back to the generic engine)."""
+        x_all = np.empty((len(grid.times), self.n))
         x_all[0] = x0
-        recur(self._step, x_all, self._const, self._tv, times, self._label)
+        recur(self._step, x_all, self._const, self._tv, grid, self._label)
         return x_all if count_march(x_all, self._sparse) else None
 
 

@@ -153,12 +153,14 @@ class SimState:
 
     Carries the present Newton estimate ``x``, the previous-timestep
     solution ``x_prev``, timing information (``dt is None`` means DC
-    analysis: capacitors open), the global ``gmin``, and the source
-    scaling factor used during source-stepping homotopy.
+    analysis: capacitors open), the global ``gmin``, the source
+    scaling factor used during source-stepping homotopy, and the
+    time-varying sources' ``levels`` at ``t`` when a march has sampled
+    them.
     """
 
     __slots__ = ("index", "x", "x_prev", "t", "dt", "gmin", "source_scale",
-                 "method", "aux", "stats")
+                 "method", "aux", "stats", "levels")
 
     def __init__(self, index: Dict[str, int], n: int) -> None:
         self.index = index
@@ -181,6 +183,16 @@ class SimState:
             "linear_solves": 0,
             "subdivisions": 0,
         }
+        #: source element -> its level at ``t``, set once per timepoint
+        #: by a transient march (see :meth:`source_level`)
+        self.levels: Dict[object, float] = {}
+
+    def source_level(self, source) -> float:
+        """``source``'s level at ``t``: the value the march sampled for
+        this timepoint, else a fresh evaluation (DC analyses and the
+        reference engine evaluate per build)."""
+        level = self.levels.get(source)
+        return source.level(self.t) if level is None else level
 
     def voltage(self, i: int) -> float:
         """Present Newton-estimate voltage of unknown ``i`` (ground = 0)."""

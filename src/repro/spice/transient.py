@@ -23,7 +23,8 @@ from repro.obs.core import OBS, counter_value, event
 from repro.resilience.deadline import DEADLINE
 from repro.resilience.retry import RetryPolicy, active_policy, note_retry
 from repro.signals.waveform import Waveform
-from repro.spice.elements import Capacitor, Inductor
+from repro.spice.elements import (Capacitor, CurrentSource, Inductor,
+                                  VoltageSource)
 from repro.spice.fastpath import (LinearMarch, SparseLinearMarch,
                                   linear_march_supported)
 from repro.spice.mna import Assembler, SimState
@@ -176,6 +177,22 @@ class MarchGrid:
         self.max_subdivisions = max_subdivisions
         self.n_steps = int(round(t_stop / dt))
         self.times = dt * np.arange(self.n_steps + 1)
+        #: id(source value) -> (value, its samples at ``times``)
+        self._levels: Dict[int, Tuple[Any, np.ndarray]] = {}
+
+    def levels(self, value: Any) -> Optional[np.ndarray]:
+        """A Waveform source ``value`` sampled at every grid time with
+        one vector call, kept for every march on this grid (a batch's
+        variants, their DC points, Newton steps and linear recurrences);
+        ``None`` for any other source, which is evaluated per point.
+        A scalar Waveform call costs O(len(values)), so sampling one
+        per grid point would make a march quadratic."""
+        if not isinstance(value, Waveform):
+            return None
+        hit = self._levels.get(id(value))
+        if hit is None:
+            hit = self._levels[id(value)] = (value, value(self.times))
+        return hit[1]
 
     def check_end(self, circuit_name: str) -> None:
         """Warn, and log a ``transient.grid_mismatch`` event, when
@@ -223,6 +240,12 @@ class CircuitMarch:
         self.state = asm.new_state()
         self.state.method = grid.method
         self.capacitors = circuit.elements_of_type(Capacitor)
+        #: time-varying independent sources, sampled once per timepoint
+        #: (the reference engine samples them per build)
+        self.sources = [
+            e for e in circuit.elements
+            if isinstance(e, (VoltageSource, CurrentSource))
+            and not isinstance(e.value, (int, float))] if fast_path else []
         self.x: Optional[np.ndarray] = None
         self.record_nodes = (list(record) if record is not None
                              else asm.node_names)
@@ -270,7 +293,7 @@ class CircuitMarch:
                     x[ind.branch_index()] = ind.ic
         else:
             state.dt = None
-            state.t = 0.0
+            self.set_time(0.0)
             x = _solve_with_homotopy(asm, state,
                                      max_iter=self.grid.max_newton * 2)
         self.x = x
@@ -321,8 +344,26 @@ class CircuitMarch:
         """Point the state at the step ``t_from -> t_to`` from solution ``x``."""
         state = self.state
         state.dt = t_to - t_from
-        state.t = t_to
+        self.set_time(t_to)
         state.x_prev = x
+
+    def set_time(self, t: float) -> None:
+        """Point the state at time ``t`` and sample each time-varying
+        source there once, for every build at ``t`` to read: a grid time
+        reads the grid's presampled levels, any other time (a
+        subdivision midpoint) calls the source."""
+        self.state.t = t
+        if not self.sources:
+            return
+        grid = self.grid
+        k = int(round(t / grid.dt))
+        on_grid = 0 <= k <= grid.n_steps and grid.times[k] == t
+        levels = {}
+        for src in self.sources:
+            samples = grid.levels(src.value) if on_grid else None
+            levels[src] = (src.level(t) if samples is None
+                           else float(samples[k]))
+        self.state.levels = levels
 
     def end_step(self, x_new: np.ndarray) -> None:
         """Commit a converged step's capacitor integration state."""
@@ -375,7 +416,7 @@ class CircuitMarch:
         returns the engine label, or ``None`` when the recurrence is
         singular or breaks down (nothing is recorded past t = 0)."""
         rec = self.recurrence()
-        x_all = rec.run(self.x, self.grid.times) if rec is not None else None
+        x_all = rec.run(self.x, self.grid) if rec is not None else None
         if x_all is None:
             return None
         self.capture_all(x_all)

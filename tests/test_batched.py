@@ -33,9 +33,12 @@ from repro.faults.universe import paper_circuit1_faults, stuck_at_universe
 from repro.obs.core import observe
 from repro.resilience.deadline import check_deadline
 from repro.service import CampaignSpec
+from repro.signals.prbs import prbs_waveform
+from repro.signals.waveform import Waveform
 from repro.spice import (Circuit, GridMismatchWarning, batched_transient,
                          transient)
 from repro.spice.batched import BatchedMarch
+from repro.spice.transient import CircuitMarch
 
 
 # --- fixtures -------------------------------------------------------------
@@ -281,6 +284,112 @@ def test_batched_sparse_route_matches_serial(monkeypatch):
         _assert_bitwise(got, ref, ["a", "b"])
         assert np.array_equal(got.branch_current("V1").values,
                               ref.branch_current("V1").values)
+
+
+# --- source sampling: work counters ---------------------------------------
+# A scalar Waveform call costs O(len(values)), so a march that sampled
+# its stimulus per grid point (or per Newton build) was quadratic.
+
+@pytest.fixture
+def waveform_calls(monkeypatch):
+    """Count every ``Waveform.__call__`` (scalar or vector)."""
+    calls = []
+    call = Waveform.__call__
+
+    def counted(self, t):
+        calls.append(np.ndim(t))
+        return call(self, t)
+
+    monkeypatch.setattr(Waveform, "__call__", counted)
+    return calls
+
+
+@pytest.fixture
+def timepoints(monkeypatch):
+    """Count the timepoints Newton marches attempt: each step attempt
+    (subdivision halves included) plus each march's t = 0 point."""
+    seen = []
+    for name in ("start", "begin_step"):
+        method = getattr(CircuitMarch, name)
+
+        def counted(self, *args, _method=method, **kwargs):
+            seen.append(self.slot)
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(CircuitMarch, name, counted)
+    return seen
+
+
+def _prbs_ladder_variants(n):
+    """RC-ladder bridge variants sharing one PRBS Waveform stimulus."""
+    stimulus = prbs_waveform(order=4, chip_time=1e-6, dt=1e-8)
+    base = _ladder()
+    base.element("V1").value = stimulus
+    faults = [BridgingFault(f"br{i}", "a", "b", resistance=100.0 * (i + 1))
+              for i in range(n)]
+    return [inject(base, f) for f in faults], stimulus.duration
+
+
+@pytest.mark.parametrize("threshold,engine", [
+    (None, "linear_march"), ("1", "sparse_linear_march")])
+def test_linear_march_samples_each_waveform_once(monkeypatch, waveform_calls,
+                                                 threshold, engine):
+    if threshold is not None:
+        monkeypatch.setenv("REPRO_SPARSE_THRESHOLD", threshold)
+    variants, t_stop = _prbs_ladder_variants(1)
+    result = transient(variants[0], t_stop, 1e-8, record=["b"])
+    assert result.stats["engine"] == engine
+    assert waveform_calls == [1]   # one vector call: DC point and march
+
+
+def test_linear_march_samples_two_waveforms_once_each(waveform_calls):
+    variants, t_stop = _prbs_ladder_variants(1)
+    circuit = variants[0]
+    circuit.isource("I1", "0", "b", prbs_waveform(order=4, chip_time=1e-6,
+                                                   low=0.0, high=1e-4,
+                                                   dt=1e-8, seed=5))
+    circuit.vsource("V2", "c", "0", _step)    # a callable: per point
+    circuit.resistor("R4", "c", "0", 1e3)
+    result = transient(circuit, t_stop, 1e-8, record=["b"])
+    assert result.stats["engine"] == "linear_march"
+    assert waveform_calls == [1, 1]
+
+
+def test_batched_linear_march_samples_shared_waveform_once(waveform_calls):
+    variants, t_stop = _prbs_ladder_variants(4)
+    batched = batched_transient(variants, t_stop, 1e-8, record=["b"])
+    assert {r.stats["engine"] for r in batched} == {"batched_linear_march"}
+    assert waveform_calls == [1]
+    del waveform_calls[:]
+    serial = [transient(c, t_stop, 1e-8, record=["b"]) for c in variants]
+    for got, ref in zip(batched, serial):
+        _assert_bitwise(got, ref, ["b"])
+    assert waveform_calls == [1] * 4
+
+
+def test_newton_march_samples_once_per_timepoint(waveform_calls, timepoints):
+    # the reference and a weak bridge subdivide (see the lockstep test
+    # above); on-grid points read the one presampled vector, and only
+    # the off-grid half-step points call the source again
+    faults = [BridgingFault("b3-0", "3", "0", resistance=1e6),
+              BridgingFault("b7-8", "7", "8", resistance=1e3)]
+    variants, cfg, _stimulus = _e7_variants(faults, with_reference=True)
+    t_stop = 260 * cfg.sim_dt_s
+    for circuit in variants:
+        del waveform_calls[:], timepoints[:]
+        result = transient(circuit, t_stop, cfg.sim_dt_s, record=["3"])
+        assert result.stats["engine"] == "newton"
+        assert len(timepoints) > 260
+        assert len(waveform_calls) <= len(timepoints) - 260 + 1
+        if result.stats["subdivisions"] == 0:
+            assert waveform_calls == [1]
+    assert result.stats["subdivisions"] == 0   # the hard bridge
+    del waveform_calls[:], timepoints[:]
+    batched = batched_transient(variants, t_stop, cfg.sim_dt_s, record=["3"])
+    assert {r.stats["engine"] for r in batched} == {"batched_newton"}
+    # one presample for the whole lockstep batch, then off-grid points
+    assert waveform_calls[0] == 1
+    assert len(waveform_calls) <= len(timepoints) - 3 * 260 + 1
 
 
 # --- campaign batch_size: equality with serial ----------------------------

@@ -24,6 +24,8 @@ from repro.faults.injector import inject
 from repro.faults.model import StuckAtFault
 from repro.faults.universe import stuck_at_universe
 from repro.signals.correlation import FFT_CORR_THRESHOLD, fft_correlate
+from repro.signals.prbs import prbs_waveform
+from repro.signals.waveform import Waveform
 from repro.spice import (
     Capacitor,
     Circuit,
@@ -112,6 +114,39 @@ def test_transient_records_branch_currents_identically():
     d = np.max(np.abs(fast.branch_current("V1").values
                       - ref.branch_current("V1").values))
     assert d < TOL
+
+
+# --- one vector sample per march ------------------------------------------
+# The marches sample each Waveform source once as ``w(times)`` and read
+# the levels from that vector; that is exact only because the vector
+# call equals the per-time scalar calls bitwise.
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("order", [4, 7])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_waveform_vector_call_equals_scalar_calls_bitwise(order, seed):
+    rng = np.random.default_rng(1000 * order + seed)
+    low, high = rng.uniform(-2.0, 2.0), rng.uniform(2.5, 5.0)
+    prbs = prbs_waveform(order=order, chip_time=rng.uniform(1e-7, 1e-5),
+                         low=low, high=high, dt=None, seed=seed)
+    t0 = rng.uniform(1e-6, 1e-3) * rng.choice([-1.0, 1.0])
+    w = Waveform(prbs.values, prbs.dt, t0=t0)
+    on_grid = w.times[rng.choice(len(w), size=min(len(w), 400),
+                                 replace=False)]
+    off_grid = w.times[:-1][rng.choice(len(w) - 1, size=400)] \
+        + rng.uniform(0.0, 1.0, 400) * w.dt
+    before = w.t0 - rng.uniform(0.0, 1.0, 20) * w.duration
+    after = w.t_end + rng.uniform(0.0, 1.0, 20) * w.duration
+    times = np.concatenate((on_grid, off_grid, before, after,
+                            [w.t0, w.t_end]))
+    scalar = [w.value_at(t) for t in times]
+    assert np.array_equal(_bits(w(times)), _bits(scalar))
+    # clamped outside [t0, t_end]
+    assert set(w(before)) == {w.values[0]}
+    assert set(w(after)) == {w.values[-1]}
 
 
 # --- grid mismatch -------------------------------------------------------

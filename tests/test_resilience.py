@@ -588,9 +588,10 @@ class TestCampaignResilience:
     def test_campaign_deadline_covers_the_reference(self):
         # the fault-free reference is a stage of the run like any fault
         # shard: a deadline that expires while it marches ends the run
-        # with every fault skipped and no reference
+        # with every fault skipped and no reference (16 periods: the
+        # march takes ~0.3 s on a 2-vCPU host, well past the deadline)
         stimulus = prbs_waveform(order=7, chip_time=50e-6, low=0.0,
-                                 high=5.0, dt=1e-6, seed=3)
+                                 high=5.0, dt=1e-6, seed=3, repeats=16)
         technique = TransientSignatureTechnique(t_stop=stimulus.duration,
                                                 dt=1e-6, node="n9")
         faults = dictionary_faults(n_sections=10, n_faults=4)

@@ -105,6 +105,39 @@ def _unpicklable_shift(ref, m):
     return _shift_detector(ref.v, m.v)
 
 
+class _ReferenceLog:
+    """Technique that appends its pid to ``path`` on every fault-free
+    call (no injected ``FLT_`` element), so calls made in pool workers
+    count too.  Its measurement cannot pickle; with ``reject`` it raises
+    on the fault-free target instead."""
+
+    def __init__(self, path, reject=False):
+        self.path = path
+        self.reject = reject
+
+    def __call__(self, ckt):
+        if not any(e.name.startswith("FLT_") for e in ckt.elements):
+            with open(self.path, "a") as log:
+                log.write(f"{os.getpid()}\n")
+            if self.reject:
+                raise TypeError("fault-free target rejected")
+        return _unpicklable_mid(ckt)
+
+    def calls(self):
+        with open(self.path) as log:
+            return [int(pid) for pid in log.read().split()]
+
+
+def _run_pooled(entry, spec):
+    """``spec`` on a two-worker pool, from either entry point."""
+    if entry == "campaign":
+        return FaultCampaign(spec.technique, spec.detector,
+                             threshold=spec.threshold,
+                             workers=2).run(spec=spec)
+    with CampaignScheduler(workers=2) as sched:
+        return sched.submit(spec).result()
+
+
 def _ladder_technique():
     return TransientSignatureTechnique(t_stop=2e-4, dt=1e-6, node="n3")
 
@@ -453,6 +486,37 @@ class TestCampaignScheduler:
         assert ({f: row_offline[f] for f in fields}
                 == {f: row_served[f] for f in fields})
         assert row_offline["job"] is None and row_served["job"]
+
+    @pytest.mark.parametrize("entry", ["campaign", "scheduler"])
+    def test_unpicklable_reference_is_handed_back_not_raised(self, tmp_path,
+                                                            entry):
+        # the worker probes its reference's pickle and hands back a
+        # marker: the job goes in-process, where the reference is
+        # simulated once more (the measurement cannot leave the worker)
+        technique = _ReferenceLog(str(tmp_path / "calls"))
+        spec = _spec(technique=technique, detector=_unpicklable_shift)
+        if entry == "campaign":
+            with pytest.warns(RuntimeWarning, match="not picklable"):
+                result = _run_pooled(entry, spec)
+        else:
+            result = _run_pooled(entry, spec)
+        serial = FaultCampaign(_unpicklable_mid, _unpicklable_shift,
+                               threshold=0.5).run(spec=spec)
+        assert _normalized(result) == _normalized(serial)
+        worker, parent = technique.calls()
+        assert worker != os.getpid() and parent == os.getpid()
+
+    @pytest.mark.parametrize("entry", ["campaign", "scheduler"])
+    def test_reference_that_raises_in_a_worker_runs_once(self, tmp_path,
+                                                         entry):
+        # a technique error is not a pickling failure: the job fails
+        # with it, and the reference is never simulated again
+        technique = _ReferenceLog(str(tmp_path / "calls"), reject=True)
+        spec = _spec(technique=technique, detector=_unpicklable_shift)
+        with pytest.raises(TypeError, match="target rejected"):
+            _run_pooled(entry, spec)
+        [worker] = technique.calls()
+        assert worker != os.getpid()
 
     def test_submit_validates(self):
         sched = CampaignScheduler(workers=1)
