@@ -6,10 +6,8 @@ embarrassingly batchable: all 64 bridging faults of the RC-ladder
 universe are linear, add no MNA unknowns, and share one stimulus, so
 the batched engine marches them as a single ``(K, n, n) @ (K, n, 1)``
 lockstep tensor.  This file times the same 64-fault campaign at
-``batch_size`` ∈ {1, 8, 32, 64} (the speedup table), pins batched
-results to the serial ones, and pins the sparse (CSC + splu) solver
-route on a 2000-node ladder by its work counters: one factorisation
-reused on every step.  The campaigns are the ``batched`` suite's
+``batch_size`` ∈ {1, 8, 32, 64} (the speedup table) and pins batched
+results to the serial ones.  The campaigns are the ``batched`` suite's
 workloads in :mod:`repro.obs.bench`.
 
 ``python benchmarks/bench_batched_dictionary.py`` (no pytest) runs the
@@ -18,15 +16,9 @@ telemetry suite instead and appends run-ledger rows to
 against the parent commit (``python -m repro.obs compare``).
 """
 
-import os
 import time
 
-from repro.errors import DeadlineExceeded
-from repro.faults.dictionary import dictionary_ladder
-from repro.obs import observe
 from repro.obs.bench import SUITES
-from repro.resilience.deadline import deadline_scope
-from repro.spice import transient
 
 N_FAULTS = 64
 WORKLOADS = SUITES["batched"]
@@ -80,47 +72,6 @@ def test_batched_matches_serial_and_hits_target():
           f"K={N_FAULTS} {batched_s:.3f} s -> {speedup:.1f}x "
           f"(target >= {TARGET_SPEEDUP:g}x)")
     assert speedup >= TARGET_SPEEDUP
-
-
-def test_sparse_route_factorizes_once():
-    """The sparse acceptance demo: a 2000-node RC ladder transient.
-
-    Pinned on work counters, not wall clock: the sparse route engages
-    automatically above the threshold, SuperLU-factorises ``G`` at most
-    twice (the DC operating point and the march) and reuses the factor
-    on every step.  The dense path, forced via
-    ``REPRO_SPARSE_THRESHOLD``, is only timed and printed, under a
-    budget of five times the sparse wall clock (floored at 1 s): its
-    O(n^3) setup plus O(n^2)-per-step march is the cost the route
-    avoids.
-    """
-    n = 2000
-    circuit = dictionary_ladder(n_sections=n, r_ohm=10.0)
-    out = f"n{n - 1}"
-    t0 = time.perf_counter()
-    with observe() as handle:
-        result = transient(circuit, t_stop=1e-3, dt=2e-6, record=[out])
-    sparse_s = time.perf_counter() - t0
-    counters = handle.metrics.counter_values()
-    assert result.stats["engine"] == "sparse_linear_march"
-    assert counters["mna.sparse_factorizations"] <= 2
-    assert counters["mna.sparse_reuses"] == counters["transient.steps"]
-    budget_s = max(5.0 * sparse_s, 1.0)
-    os.environ["REPRO_SPARSE_THRESHOLD"] = str(10 * n)
-    t0 = time.perf_counter()
-    try:
-        with deadline_scope(budget_s, label="dense-route budget"):
-            try:
-                transient(circuit, t_stop=1e-3, dt=2e-6, record=[out])
-            except DeadlineExceeded:
-                dense = f"over the {budget_s:.2f} s budget"
-            else:
-                dense = f"{time.perf_counter() - t0:.3f} s"
-    finally:
-        del os.environ["REPRO_SPARSE_THRESHOLD"]
-    print(f"\nsparse {n}-node ladder: {sparse_s:.3f} s "
-          f"({counters['mna.sparse_factorizations']} factorisations, "
-          f"{counters['mna.sparse_reuses']} reuses); dense: {dense}")
 
 
 if __name__ == "__main__":

@@ -22,9 +22,9 @@ The pieces:
   rate, callbacks, heartbeats) every route and the service dashboard
   share, plus post-hoc straggler detection.
 * :mod:`repro.obs.bench`   — the benchmark-telemetry pipeline behind
-  ``python -m repro.obs bench`` / ``compare``: the batched K sweep,
-  the sparse ladder and journal replay/restart, gated against the
-  parent commit's runs on the same host.
+  ``python -m repro.obs bench`` / ``compare``: the batched K sweep
+  and journal replay/restart, gated against the parent commit's runs
+  on the same host.
 
 Typical use, directly or through :class:`repro.session.Session`::
 

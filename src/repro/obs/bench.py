@@ -73,16 +73,6 @@ def _dictionary_campaign(batch_size: int) -> Callable[[], Any]:
     return run
 
 
-def _sparse_ladder_transient():
-    """A 1000-node RC ladder transient: above the sparse threshold, so
-    the march runs through the CSC/splu route (the dense path on this
-    workload is the deadline demo in bench_batched_dictionary.py)."""
-    from repro.faults.dictionary import dictionary_ladder
-    from repro.spice import transient
-    circuit = dictionary_ladder(n_sections=1000, r_ohm=10.0)
-    return transient(circuit, t_stop=1e-3, dt=2e-6, record=["n999"])
-
-
 # -- durable-service recovery workloads -------------------------------------
 
 
@@ -213,7 +203,7 @@ def _service_restart_8jobs():
 
 
 SUITES: Dict[str, Dict[str, Callable[[], Any]]] = {
-    # lockstep batched campaign + sparse solver route (shared with
+    # lockstep batched campaign (shared with
     # benchmarks/bench_batched_dictionary.py); the Kx workloads share
     # one scenario so their medians are directly comparable speedups.
     "batched": {
@@ -221,7 +211,6 @@ SUITES: Dict[str, Dict[str, Callable[[], Any]]] = {
         "dictionary_64f_k8": _dictionary_campaign(8),
         "dictionary_64f_k32": _dictionary_campaign(32),
         "dictionary_64f_k64": _dictionary_campaign(64),
-        "sparse_ladder_1000": _sparse_ladder_transient,
     },
     # durable-service restart latency (shared with
     # benchmarks/bench_service_recovery.py): write-ahead append cost,

@@ -12,9 +12,7 @@ A compact modified-nodal-analysis (MNA) engine with:
   pencils from which poles, zeros and transfer functions are extracted —
   the "HSPICE poles/zeros/constants" step of the paper's second method,
 * a batched transient engine (:func:`batched_transient`) marching K
-  faulty variants of one circuit in lockstep, and a sparse (CSC + splu)
-  solver route that engages automatically above
-  :func:`sparse_threshold` unknowns.
+  faulty variants of one circuit in lockstep.
 
 The engine targets the paper's scale (tens of transistors) and favours
 robustness and clarity over raw speed.
@@ -45,7 +43,6 @@ from repro.spice.linearize import (
     transfer_function_at,
     extract_transfer_function,
 )
-from repro.spice.mna import sparse_threshold
 from repro.spice.batched import BatchedMarch, batched_transient
 
 __all__ = [
@@ -81,7 +78,6 @@ __all__ = [
     "circuit_zeros",
     "transfer_function_at",
     "extract_transfer_function",
-    "sparse_threshold",
     "BatchedMarch",
     "batched_transient",
 ]

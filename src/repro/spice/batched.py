@@ -52,8 +52,8 @@ internal node and a source branch, a bridging fault adds nothing, so a
 homogeneous fault universe usually lands in one or two groups).  Within
 a size group, linear backward-Euler variants whose time-varying sources
 are the *same value objects* (the normal case: faulty copies share the
-base circuit's stimulus) form a lockstep tensor group.  Dense
-backward-Euler variants whose only nonlinear elements are plain MOSFETs
+base circuit's stimulus) form a lockstep tensor group.  Backward-Euler
+variants whose only nonlinear elements are plain MOSFETs
 form a Newton lockstep group; everything else marches per-variant in
 the shared step loop.
 """
@@ -158,44 +158,31 @@ class BatchedMarch:
             live.append(v)
 
         # --- route split ----------------------------------------------
-        lockstep_groups, solo_linear, newton_route = self._route(live)
+        lockstep_groups, newton_route = self._route(live)
 
         for group in lockstep_groups:
             self._run_linear_group(group, results)
-        for v in solo_linear:
-            # the sparse route has no tensor lockstep, but the variant
-            # still rides in the batch for campaign chunking/timeouts
-            engine = v.march_linear()
-            if engine is None:
-                self._evict(v.slot, "sparse linear march unavailable")
-            else:
-                self._finish(results, v, engine, batch_k=1)
         if newton_route:
             self._run_newton_route(newton_route, results)
         return results
 
     # ------------------------------------------------------------------
     def _route(self, live: List[CircuitMarch]):
-        """Split live variants into dense lockstep linear groups (of
-        ``(variant, recurrence)`` pairs), solo (sparse) linear marches,
-        and the generic Newton route."""
+        """Split live variants into lockstep linear groups (of
+        ``(variant, recurrence)`` pairs) and the generic Newton route."""
         newton_route: List[CircuitMarch] = []
-        solo_linear: List[CircuitMarch] = []
         groups: Dict[Tuple, List[Tuple[CircuitMarch, object]]] = {}
         for v in live:
-            if not linear_march_supported(v.circuit, self.grid.method):
+            rec = (v.recurrence()
+                   if linear_march_supported(v.circuit, self.grid.method)
+                   else None)
+            if rec is None:
+                # serial runs the generic Newton loop here too
                 newton_route.append(v)
-            elif v.assembler.use_sparse:
-                solo_linear.append(v)
-            else:
-                rec = v.recurrence()
-                if rec is None:
-                    # serial falls back to the generic Newton loop here
-                    newton_route.append(v)
-                    continue
-                sig = (rec.n, tuple(id(value) for _c, value in rec._tv))
-                groups.setdefault(sig, []).append((v, rec))
-        return list(groups.values()), solo_linear, newton_route
+                continue
+            sig = (rec.n, tuple(id(value) for _c, value in rec._tv))
+            groups.setdefault(sig, []).append((v, rec))
+        return list(groups.values()), newton_route
 
     # ------------------------------------------------------------------
     def _run_linear_group(self, group: List[Tuple[CircuitMarch, object]],
@@ -266,14 +253,13 @@ class BatchedMarch:
                        ) -> Tuple[List["_NewtonGroup"], List[CircuitMarch]]:
         """Split Newton-route variants into lockstep groups and the
         per-variant rest.  A variant can lockstep when it marches by
-        backward Euler on the dense route and its only nonlinear
-        elements are plain MOSFETs (the vectorised group); groups share
-        the MNA size ``n``."""
+        backward Euler and its only nonlinear elements are plain MOSFETs
+        (the vectorised group); groups share the MNA size ``n``."""
         by_size: Dict[int, List[CircuitMarch]] = {}
         solo: List[CircuitMarch] = []
         for v in variants:
             asm = v.assembler
-            if (self.grid.method == "be" and not asm.use_sparse
+            if (self.grid.method == "be"
                     and asm._mosfet_group is not None
                     and not asm._nonlinear_elems):
                 by_size.setdefault(asm.n, []).append(v)

@@ -12,14 +12,12 @@ floating-point reassociation (the equivalence suite pins it at 1e-9 V):
   static matrix.
 * the linear transient march — under backward Euler a fully linear
   circuit's per-step solve ``G x_k = E x_{k-1} + b_src(t_k)`` has a
-  constant ``G``, so one factorisation serves the whole march.  One
-  companion-entry build (``E``) and one source-column build
-  (``c_s = G^-1 e_s``) feed two recurrences: :class:`LinearMarch`
-  pre-multiplies by a dense ``G^-1``
+  constant ``G``, so one factorisation serves the whole march.
+  :class:`LinearMarch` pre-multiplies by a dense ``G^-1``
   (``x_k = A x_{k-1} + sum_s level_s(t_k) c_s``, one BLAS-2 matvec per
-  step) and :class:`SparseLinearMarch` back-substitutes through a
-  SuperLU factor for large decks.  :func:`count_march` checks and
-  counts every finished march, the batched engine's stacked ones too.
+  step); :func:`recur` is the step loop it shares with the batched
+  engine's stacked march, and :func:`count_march` checks and counts
+  every finished march.
 * :func:`linear_march_supported` — the eligibility test the march core
   in :mod:`repro.spice.transient` uses to pick the linear route.
 """
@@ -271,77 +269,6 @@ def linear_march_supported(circuit, method: str) -> bool:
     return all(type(e) in _MARCH_TYPES for e in circuit.elements)
 
 
-
-
-def _static_matrix(assembler, dt: float, gmin: float) -> np.ndarray:
-    """The march's constant backward-Euler ``G`` (conductances,
-    capacitor ``C/dt`` terms, controlled-source patterns, gmin)."""
-    state = assembler.new_state()
-    state.dt = dt
-    state.method = "be"
-    state.gmin = gmin
-    return assembler.static_matrix(state)
-
-
-def _companion_entries(circuit, dt: float
-                       ) -> Tuple[List[int], List[int], List[float]]:
-    """``(rows, cols, vals)`` of the coupling matrix ``E``.
-
-    A capacitor's companion ``add_current(a, b, -geq * v_prev)``
-    contributes ``+geq*(x[a]-x[b])`` at row a and ``-geq*(x[a]-x[b])``
-    at row b — the usual conductance pattern.  An inductor's branch row
-    j carries ``-(L/dt) * I_prev`` with the current I an MNA unknown — a
-    diagonal entry.  Repeated positions are meant to be summed in order.
-    """
-    rows: List[int] = []
-    cols: List[int] = []
-    vals: List[float] = []
-    for cap in circuit.elements_of_type(Capacitor):
-        a, b = cap._idx
-        geq = cap.capacitance / dt
-        for r, c, sign in ((a, a, 1.0), (b, b, 1.0), (a, b, -1.0), (b, a, -1.0)):
-            if r >= 0 and c >= 0:
-                rows.append(r)
-                cols.append(c)
-                vals.append(sign * geq)
-    for ind in circuit.elements_of_type(Inductor):
-        j = ind.branch_index()
-        rows.append(j)
-        cols.append(j)
-        vals.append(-ind.inductance / dt)
-    return rows, cols, vals
-
-
-def _source_columns(circuit, n: int,
-                    response: Callable[[Tuple[Tuple[int, float], ...]],
-                                       np.ndarray]
-                    ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, object]]]:
-    """Per-source response columns ``c_s = G^-1 e_s``, split into the
-    constant sources' sum and the time-varying ``(c_s, value)`` list.
-
-    ``response(pattern)`` solves for one right-hand side ``e_s`` given
-    as ``((index, sign), ...)``: +1 on a voltage source's branch row, or
-    -1/+1 on the nodes a current source drives from/into.
-    """
-    const = np.zeros(n)
-    tv: List[Tuple[np.ndarray, object]] = []
-    for elem in circuit.elements:
-        if isinstance(elem, VoltageSource):
-            pattern = ((elem.branch_index(), 1.0),)
-        elif isinstance(elem, CurrentSource):
-            a, b = elem._idx
-            pattern = tuple((i, sign) for i, sign in ((a, -1.0), (b, 1.0))
-                            if i >= 0)
-        else:
-            continue
-        col = response(pattern)
-        if isinstance(elem.value, (int, float)):
-            const += float(elem.value) * col
-        else:
-            tv.append((col, elem.value))
-    return const, tv
-
-
 def recur(step: Callable[[np.ndarray, np.ndarray], Any],
           x_all: np.ndarray, const: np.ndarray,
           tv: Sequence[Tuple[np.ndarray, object]], grid: Any,
@@ -350,11 +277,11 @@ def recur(step: Callable[[np.ndarray, np.ndarray], Any],
     sum_s level_s(t_k) c_s`` from ``x_all[0]`` over the
     :class:`~repro.spice.transient.MarchGrid` ``grid``, where
     ``step(x, out)`` writes the coupling term into ``out``.  One loop
-    serves the dense and sparse K = 1 marches and the batched ``(K, n)``
-    stack, so each grid point adds the same terms in the same order on
-    every route.  Each Waveform source is read from the grid's one
-    vector sampling (:meth:`~repro.spice.transient.MarchGrid.levels`);
-    other callables are evaluated per point."""
+    serves the K = 1 march and the batched ``(K, n)`` stack, so each
+    grid point adds the same terms in the same order on both routes.
+    Each Waveform source is read from the grid's one vector sampling
+    (:meth:`~repro.spice.transient.MarchGrid.levels`); other callables
+    are evaluated per point."""
     times = grid.times
     sources = [(col, value, grid.levels(value)) for col, value in tv]
     # Cooperative cancellation: once after the march's setup (its
@@ -376,23 +303,22 @@ def recur(step: Callable[[np.ndarray, np.ndarray], Any],
         x = row
 
 
-def count_march(x_all: np.ndarray, sparse: bool = False) -> bool:
+def count_march(x_all: np.ndarray) -> bool:
     """Count one finished recurrence march of ``len(x_all) - 1`` steps;
     ``False`` means it broke down (a non-finite sample) and the caller
     falls back to the generic engine."""
-    prefix = "fastpath.sparse_march" if sparse else "fastpath.linear_march"
     if not np.all(np.isfinite(x_all)):
         if OBS.enabled:
-            OBS.metrics.counter(prefix + "_breakdowns").inc()
+            OBS.metrics.counter("fastpath.linear_march_breakdowns").inc()
         return False
     if OBS.enabled:
         m = OBS.metrics
         steps = len(x_all) - 1
-        m.counter(prefix + "_runs").inc()
-        m.counter(prefix + "_steps").inc(steps)
+        m.counter("fastpath.linear_march_runs").inc()
+        m.counter("fastpath.linear_march_steps").inc(steps)
         # Each recurrence step is one application of the march's
         # single factorisation — the fast path's reuse currency.
-        m.counter("mna.sparse_reuses" if sparse else "mna.lu_reuses").inc(steps)
+        m.counter("mna.lu_reuses").inc(steps)
     return True
 
 
@@ -403,7 +329,8 @@ class LinearMarch:
     ``G x_k = E x_{k-1} + b_src(t_k)`` with constant ``G`` and ``E``
     collecting the capacitor/inductor companion coupling to the previous
     solution.  Pre-multiplying by ``G^-1`` once turns the march into a
-    matrix-vector recurrence.
+    matrix-vector recurrence ``x_k = A x_{k-1} + sum_s level_s(t_k) c_s``
+    with ``A = G^-1 E`` and source columns ``c_s = G^-1 e_s``.
 
     Raises :class:`numpy.linalg.LinAlgError` at construction when ``G``
     is singular — callers fall back to the generic engine, which raises
@@ -411,30 +338,51 @@ class LinearMarch:
     engine would.
     """
 
-    _label = "linear march"
-    _sparse = False
-
     def __init__(self, assembler, dt: float, gmin: float) -> None:
         n = self.n = assembler.n
-        g_inv = np.linalg.inv(_static_matrix(assembler, dt, gmin))
+        circuit = assembler.circuit
+        state = assembler.new_state()
+        state.dt, state.method, state.gmin = dt, "be", gmin
+        g_inv = np.linalg.inv(assembler.static_matrix(state))
         if not np.all(np.isfinite(g_inv)):
             raise np.linalg.LinAlgError("singular MNA matrix")
         if OBS.enabled:
             OBS.metrics.counter("mna.lu_factorizations").inc()
+        # E: a capacitor's companion add_current(a, b, -geq * v_prev)
+        # puts the conductance pattern of geq on x_prev; an inductor's
+        # branch row j carries -(L/dt) * I_prev on its own current.
         e_mat = np.zeros((n, n))
-        for r, c, val in zip(*_companion_entries(assembler.circuit, dt)):
-            e_mat[r, c] += val
+        for cap in circuit.elements_of_type(Capacitor):
+            a, b = cap._idx
+            geq = cap.capacitance / dt
+            for r, c, sign in ((a, a, 1.0), (b, b, 1.0),
+                               (a, b, -1.0), (b, a, -1.0)):
+                if r >= 0 and c >= 0:
+                    e_mat[r, c] += sign * geq
+        for ind in circuit.elements_of_type(Inductor):
+            j = ind.branch_index()
+            e_mat[j, j] += -ind.inductance / dt
         self._a_mat = g_inv @ e_mat
-        self._step = functools.partial(np.dot, self._a_mat)
-
-        def response(pattern):
+        # c_s for e_s = +1 on a voltage source's branch row, or -1/+1 on
+        # the nodes a current source drives from/into; constant sources
+        # fold into one summed column.
+        self._const = np.zeros(n)
+        self._tv: List[Tuple[np.ndarray, object]] = []
+        for elem in circuit.elements:
+            if isinstance(elem, VoltageSource):
+                pattern = ((elem.branch_index(), 1.0),)
+            elif isinstance(elem, CurrentSource):
+                pattern = zip(elem._idx, (-1.0, 1.0))
+            else:
+                continue
             col = np.zeros(n)
             for i, sign in pattern:
-                col += sign * g_inv[:, i]
-            return col
-
-        self._const, self._tv = _source_columns(assembler.circuit, n,
-                                                response)
+                if i >= 0:
+                    col += sign * g_inv[:, i]
+            if isinstance(elem.value, (int, float)):
+                self._const += float(elem.value) * col
+            else:
+                self._tv.append((col, elem.value))
 
     def run(self, x0: np.ndarray, grid: Any) -> Optional[np.ndarray]:
         """March the recurrence over the
@@ -443,56 +391,6 @@ class LinearMarch:
         numerical breakdown (caller falls back to the generic engine)."""
         x_all = np.empty((len(grid.times), self.n))
         x_all[0] = x0
-        recur(self._step, x_all, self._const, self._tv, grid, self._label)
-        return x_all if count_march(x_all, self._sparse) else None
-
-
-class SparseLinearMarch(LinearMarch):
-    """Sparse-factor linear transient march for large circuits.
-
-    Same recurrence as :class:`LinearMarch`, but where the dense march
-    pre-multiplies by ``G^-1`` (an O(n^3) inverse plus an O(n^2) dense
-    matvec per step, plus an O(n^2) dense ``A`` that alone is
-    prohibitive at 1000+ unknowns), this variant holds a SuperLU
-    factorisation of CSC ``G`` and back-substitutes per step:
-
-        ``x_k = lu.solve(E x_{k-1}) + const + sum_s level_s(t_k) c_s``
-
-    ``E`` is kept sparse, so the per-step cost is two near-linear passes
-    for the banded ladders that need this route.  The factorisation
-    happens once for the whole march; the response columns ``c_s`` are
-    back-substituted at construction.
-
-    Results agree with the dense march/reference engine to solver
-    round-off (the 1e-9 equivalence pins), not bitwise — a different
-    factorisation orders the arithmetic differently.
-    """
-
-    _label = "sparse linear march"
-    _sparse = True
-
-    def __init__(self, assembler, dt: float, gmin: float) -> None:
-        import scipy.sparse
-
-        from repro.spice.mna import _factorize_sparse
-
-        n = self.n = assembler.n
-        lu = _factorize_sparse(_static_matrix(assembler, dt, gmin))
-        rows, cols, vals = _companion_entries(assembler.circuit, dt)
-        e_mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-        def step(x, out):
-            out[:] = lu.solve(e_mat @ x)
-
-        def response(pattern):
-            rhs = np.zeros(n)
-            for i, sign in pattern:
-                rhs[i] = sign
-            col = lu.solve(rhs)
-            if not np.all(np.isfinite(col)):
-                raise np.linalg.LinAlgError("singular MNA matrix")
-            return col
-
-        self._const, self._tv = _source_columns(assembler.circuit, n,
-                                                response)
-        self._step = step
+        recur(functools.partial(np.dot, self._a_mat), x_all, self._const,
+              self._tv, grid, "linear march")
+        return x_all if count_march(x_all) else None

@@ -20,36 +20,14 @@ reference the equivalence test suite compares against.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 from scipy.linalg import lapack as _lapack
-from scipy.sparse.linalg import splu as _splu_factor
 
 from repro.obs.core import OBS
 from repro.spice.netlist import Circuit, GROUND
-
-#: Unknown count at or above which the assembler routes solves through
-#: the CSC/SuperLU sparse path by default.  Dense LU is O(n^3) per
-#: factorisation and O(n^2) per back-substitution; for the banded/near-
-#: tridiagonal systems big flattened netlists produce, sparse wins well
-#: before 1000 unknowns while small circuits stay on the (faster for
-#: them) dense kernels.  Override with ``REPRO_SPARSE_THRESHOLD``.
-SPARSE_THRESHOLD_DEFAULT = 500
-
-
-def sparse_threshold() -> int:
-    """The active dense→sparse crossover (env-overridable per process)."""
-    raw = os.environ.get("REPRO_SPARSE_THRESHOLD")
-    if raw is None:
-        return SPARSE_THRESHOLD_DEFAULT
-    try:
-        return int(raw)
-    except ValueError:
-        return SPARSE_THRESHOLD_DEFAULT
 
 
 class MNASystem:
@@ -134,20 +112,6 @@ class MNASystem:
         return x
 
 
-def _factorize_sparse(g: np.ndarray):
-    """CSC-convert and SuperLU-factorise ``g``; singularity surfaces as
-    :class:`numpy.linalg.LinAlgError` so sparse and dense routes raise
-    identically through the solver's error handling."""
-    a = scipy.sparse.csc_matrix(g)
-    try:
-        lu = _splu_factor(a)
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise np.linalg.LinAlgError(str(exc)) from exc
-    if OBS.enabled:
-        OBS.metrics.counter("mna.sparse_factorizations").inc()
-    return lu
-
-
 class SimState:
     """Context handed to every element's ``stamp`` call.
 
@@ -209,8 +173,7 @@ class Assembler:
     static matrix, the vectorised MOSFET group and LU reuse;
     ``fast_path=False`` restamps every element through its Python
     ``stamp()`` on every build, exactly as the original engine did.
-    On the fast path, a circuit with at least :func:`sparse_threshold`
-    unknowns solves through CSC/SuperLU instead of dense LAPACK.
+    Every circuit solves through dense LAPACK.
     """
 
     def __init__(self, circuit: Circuit, fast_path: bool = True) -> None:
@@ -230,8 +193,6 @@ class Assembler:
         self.node_names = circuit.nodes()
         self._scratch = MNASystem(self.n)
         self._node_diag = np.arange(self.n_nodes)
-        #: the reference engine (``fast_path=False``) stays dense
-        self.use_sparse = fast_path and self.n >= sparse_threshold()
 
         # --- stamp partition ------------------------------------------
         from repro.spice.elements import (
@@ -283,8 +244,6 @@ class Assembler:
         self._b_key: Optional[Tuple] = None
         self._lu = None
         self._lu_key: Optional[Tuple] = None
-        self._splu = None
-        self._splu_key: Optional[Tuple] = None
 
     @property
     def is_linear(self) -> bool:
@@ -304,8 +263,6 @@ class Assembler:
         self._b_key = None
         self._lu = None
         self._lu_key = None
-        self._splu = None
-        self._splu_key = None
 
     def _refresh_static(self, state: SimState) -> None:
         """Restamp the static portion of G for the present configuration."""
@@ -409,32 +366,6 @@ class Assembler:
             raise np.linalg.LinAlgError(
                 f"dgetrs failed (info={info}) on cached factorization")
         return x
-
-    def solve_cached_splu(self, sys: MNASystem) -> np.ndarray:
-        """Sparse twin of :meth:`solve_cached_lu`: SuperLU-factorise the
-        (constant, for linear circuits) matrix once per static
-        configuration, then only back-substitute per call.  The column
-        ordering SuperLU computes — the symbolic analysis — is the
-        expensive part for a fixed sparsity pattern; holding the whole
-        factor object reuses it for free."""
-        if self._splu_key != self._static_key or self._splu is None:
-            self._splu = _factorize_sparse(sys.g)
-            self._splu_key = self._static_key
-        elif OBS.enabled:
-            OBS.metrics.counter("mna.sparse_reuses").inc()
-        return self._splu.solve(sys.b)
-
-    def solve_sparse(self, sys: MNASystem) -> np.ndarray:
-        """One sparse solve of the freshly built system (nonlinear path:
-        the Jacobian changes every Newton iteration, so the factor is
-        not cached — the matrix is converted and factorised per call).
-
-        The pattern is deliberately rebuilt from the dense scratch
-        matrix each time rather than refilled into a frozen pattern: a
-        Jacobian entry that happens to be exactly 0.0 when a pattern
-        would have been frozen must still stamp later iterations.
-        """
-        return _factorize_sparse(sys.g).solve(sys.b)
 
     def voltages(self, x: np.ndarray) -> Dict[str, float]:
         """Translate a solution vector into a node-voltage dict."""

@@ -148,19 +148,14 @@ def newton_solve(assembler: Assembler, state: SimState,
         # factorization (factor once per (dt, method, gmin), then
         # back-substitute on every call).
         sys = assembler.build(state)
-        x_new = checked_solve(assembler.solve_cached_splu
-                              if assembler.use_sparse
-                              else assembler.solve_cached_lu, sys)
+        x_new = checked_solve(assembler.solve_cached_lu, sys)
         state.x = x_new
         state.stats["linear_solves"] += 1
         note_solve(assembler, state, 1)
         if OBS.enabled:
             OBS.metrics.counter("solver.linear_solves").inc()
         return x_new
-    if assembler.fast_path and assembler.use_sparse:
-        solve = assembler.solve_sparse  # bound: called as solve(sys) too
-    else:
-        solve = MNASystem.solve_fast if assembler.fast_path else MNASystem.solve
+    solve = MNASystem.solve_fast if assembler.fast_path else MNASystem.solve
     progress = NewtonProgress(x, stall_check=state.dt is not None)
     iteration = 0
     try:

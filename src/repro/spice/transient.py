@@ -25,8 +25,7 @@ from repro.resilience.retry import RetryPolicy, active_policy, note_retry
 from repro.signals.waveform import Waveform
 from repro.spice.elements import (Capacitor, CurrentSource, Inductor,
                                   VoltageSource)
-from repro.spice.fastpath import (LinearMarch, SparseLinearMarch,
-                                  linear_march_supported)
+from repro.spice.fastpath import LinearMarch, linear_march_supported
 from repro.spice.mna import Assembler, SimState
 from repro.spice.netlist import Circuit, GROUND
 from repro.spice.solver import NewtonError, newton_solve, _solve_with_homotopy
@@ -402,26 +401,23 @@ class CircuitMarch:
             raise
 
     def recurrence(self) -> Optional[Any]:
-        """The circuit's one-factorisation linear recurrence
-        (:class:`~repro.spice.fastpath.SparseLinearMarch` on the sparse
-        route), or ``None`` when ``G`` is singular."""
-        cls = SparseLinearMarch if self.assembler.use_sparse else LinearMarch
+        """The circuit's one-factorisation linear recurrence, or
+        ``None`` when ``G`` is singular."""
         try:
-            return cls(self.assembler, dt=self.grid.dt, gmin=_GMIN)
+            return LinearMarch(self.assembler, dt=self.grid.dt, gmin=_GMIN)
         except np.linalg.LinAlgError:
             return None
 
-    def march_linear(self) -> Optional[str]:
+    def march_linear(self) -> bool:
         """March and record the whole grid through :meth:`recurrence`;
-        returns the engine label, or ``None`` when the recurrence is
-        singular or breaks down (nothing is recorded past t = 0)."""
+        ``False`` when the recurrence is singular or breaks down
+        (nothing is recorded past t = 0)."""
         rec = self.recurrence()
         x_all = rec.run(self.x, self.grid) if rec is not None else None
         if x_all is None:
-            return None
+            return False
         self.capture_all(x_all)
-        return ("sparse_linear_march" if self.assembler.use_sparse
-                else "linear_march")
+        return True
 
     def result(self, engine: str, **stats: Any) -> TransientResult:
         """The recorded waveforms, ``stats`` tagged with ``engine``."""
@@ -530,13 +526,11 @@ def _transient_impl(circuit: Circuit, grid: MarchGrid,
     march.start(x0, uic)
     # Fully linear circuit + backward Euler: one factorisation, then a
     # matrix-vector recurrence over the whole grid.
-    engine = None
-    if fast_path and linear_march_supported(circuit, grid.method):
-        engine = march.march_linear()
-    if engine is None:
-        engine = "newton"
-        for k in range(1, grid.n_steps + 1):
-            if DEADLINE.active is not None:
-                DEADLINE.active.check("transient march")
-            march.step(k)
-    return march.result(engine)
+    if (fast_path and linear_march_supported(circuit, grid.method)
+            and march.march_linear()):
+        return march.result("linear_march")
+    for k in range(1, grid.n_steps + 1):
+        if DEADLINE.active is not None:
+            DEADLINE.active.check("transient march")
+        march.step(k)
+    return march.result("newton")

@@ -268,24 +268,6 @@ def test_batched_validates_arguments_like_serial():
         assert events[0]["fields"]["t_end"] == pytest.approx(1.0e-6)
 
 
-def test_batched_sparse_route_matches_serial(monkeypatch):
-    # the sparse (splu) route has no tensor lockstep: every variant
-    # marches alone inside the batch, through the serial linear march
-    monkeypatch.setenv("REPRO_SPARSE_THRESHOLD", "1")
-    variants = _bridge_variants(4)
-    batched = batched_transient(variants, 1e-5, 1e-8, record=["a", "b"],
-                                record_branches=["V1"])
-    for circuit, got in zip(variants, batched):
-        ref = transient(circuit, 1e-5, 1e-8, record=["a", "b"],
-                        record_branches=["V1"])
-        assert got is not None
-        assert got.stats["engine"] == ref.stats["engine"] == "sparse_linear_march"
-        assert got.stats["batch_k"] == 1
-        _assert_bitwise(got, ref, ["a", "b"])
-        assert np.array_equal(got.branch_current("V1").values,
-                              ref.branch_current("V1").values)
-
-
 # --- source sampling: work counters ---------------------------------------
 # A scalar Waveform call costs O(len(values)), so a march that sampled
 # its stimulus per grid point (or per Newton build) was quadratic.
@@ -330,15 +312,10 @@ def _prbs_ladder_variants(n):
     return [inject(base, f) for f in faults], stimulus.duration
 
 
-@pytest.mark.parametrize("threshold,engine", [
-    (None, "linear_march"), ("1", "sparse_linear_march")])
-def test_linear_march_samples_each_waveform_once(monkeypatch, waveform_calls,
-                                                 threshold, engine):
-    if threshold is not None:
-        monkeypatch.setenv("REPRO_SPARSE_THRESHOLD", threshold)
+def test_linear_march_samples_each_waveform_once(waveform_calls):
     variants, t_stop = _prbs_ladder_variants(1)
     result = transient(variants[0], t_stop, 1e-8, record=["b"])
-    assert result.stats["engine"] == engine
+    assert result.stats["engine"] == "linear_march"
     assert waveform_calls == [1]   # one vector call: DC point and march
 
 

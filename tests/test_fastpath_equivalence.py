@@ -212,56 +212,21 @@ def test_campaign_rejects_bad_workers():
         FaultCampaign(_campaign_technique, _campaign_detector, workers=0)
 
 
-# --- sparse (CSC + splu) solver route ------------------------------------
+# --- one dense route at every size ---------------------------------------
 
-def test_sparse_linear_march_matches_reference(monkeypatch):
-    # Force the sparse route on a small linear deck and pin it to the
-    # reference engine: same 1e-9 gate as the dense fast path.
-    monkeypatch.setenv("REPRO_SPARSE_THRESHOLD", "1")
-    fast = transient(_rc_ladder(), 2e-5, 1e-8, method="be")
-    assert fast.stats["engine"] == "sparse_linear_march"
-    monkeypatch.delenv("REPRO_SPARSE_THRESHOLD")
-    ref = transient(_rc_ladder(), 2e-5, 1e-8, method="be", fast_path=False)
-    assert _max_trace_diff(fast, ref) < TOL
-
-
-def test_sparse_newton_route_matches_reference(monkeypatch):
-    # Nonlinear circuits refactorise the sparse Jacobian every Newton
-    # iteration (the pattern must follow the devices); results still
-    # pin to the scalar reference engine.
-    def drive(t):
-        return 2.2 if t < 5e-6 else 3.0
-    monkeypatch.setenv("REPRO_SPARSE_THRESHOLD", "1")
-    fast = transient(op1_follower(input_value=drive), 2e-5, 1e-7,
-                     record=["3", "4", "5"])
-    monkeypatch.delenv("REPRO_SPARSE_THRESHOLD")
-    ref = transient(op1_follower(input_value=drive), 2e-5, 1e-7,
-                    record=["3", "4", "5"], fast_path=False)
-    assert _max_trace_diff(fast, ref) < TOL
-
-
-def test_sparse_route_engages_automatically_above_threshold(monkeypatch):
-    # A ladder larger than the default threshold must pick the sparse
-    # march without any explicit opt-in, and match the dense fast path.
+def test_large_ladder_marches_on_the_dense_route():
+    # 600 sections is past the 500 unknowns where a CSC/SuperLU route
+    # once took over; every circuit now solves through dense LAPACK.
     from repro.faults.dictionary import dictionary_ladder
-    from repro.spice.mna import SPARSE_THRESHOLD_DEFAULT, sparse_threshold
+    from repro.obs import observe
 
-    assert sparse_threshold() == SPARSE_THRESHOLD_DEFAULT
-    n = SPARSE_THRESHOLD_DEFAULT + 100
-    circuit = dictionary_ladder(n_sections=n, r_ohm=10.0)
-    out = f"n{n - 1}"
-    auto = transient(circuit, 2e-4, 2e-6, record=[out])
-    assert auto.stats["engine"] == "sparse_linear_march"
-    monkeypatch.setenv("REPRO_SPARSE_THRESHOLD", str(100 * n))
-    dense = transient(circuit, 2e-4, 2e-6, record=[out])
-    assert dense.stats["engine"] == "linear_march"
-    assert np.max(np.abs(auto.array(out) - dense.array(out))) < TOL
-
-
-def test_sparse_threshold_env_parse_failure_falls_back(monkeypatch):
-    from repro.spice.mna import SPARSE_THRESHOLD_DEFAULT, sparse_threshold
-    monkeypatch.setenv("REPRO_SPARSE_THRESHOLD", "not-a-number")
-    assert sparse_threshold() == SPARSE_THRESHOLD_DEFAULT
+    circuit = dictionary_ladder(n_sections=600, r_ohm=10.0)
+    with observe() as o:
+        result = transient(circuit, 1e-5, 2e-6, record=["n599"])
+    assert result.stats["engine"] == "linear_march"
+    counters = o.metrics.counter_values()
+    assert counters["fastpath.linear_march_runs"] == 1
+    assert not [k for k in counters if k.startswith("mna.sparse")]
 
 
 # --- single-factorisation frequency sweeps --------------------------------

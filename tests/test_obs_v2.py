@@ -759,7 +759,7 @@ class TestBenchPipeline:
         out = tmp_path / "fresh"
         run = subprocess.run(
             [sys.executable, "-m", "repro.obs", "bench", "--suite",
-             "batched", "--ids", "sparse_ladder_1000", "--rounds", "1",
+             "batched", "--ids", "dictionary_64f_k64", "--rounds", "1",
              "--out", str(out), "--quiet"],
             capture_output=True, text=True, env=env, cwd=REPO_ROOT)
         assert run.returncode == 0, run.stderr

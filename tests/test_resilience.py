@@ -260,14 +260,11 @@ class TestDeadline:
             with pytest.raises(DeadlineExceeded):
                 dc_operating_point(ckt)
 
-    @pytest.mark.parametrize("engine", ["linear_march",
-                                        "sparse_linear_march"])
+    @pytest.mark.parametrize("engine", ["linear_march"])
     def test_expired_deadline_stops_linear_march_before_step_one(
-            self, engine, monkeypatch):
-        # the march checks once after its inv/splu setup, so a march
+            self, engine):
+        # the march checks once after its inverse setup, so a march
         # shorter than one 256-step stride still honours the budget
-        if engine == "sparse_linear_march":
-            monkeypatch.setenv("REPRO_SPARSE_THRESHOLD", "1")
         ladder = dictionary_ladder(n_sections=6)
         assert transient(ladder, 2e-4, 1e-6).stats["engine"] == engine
         d = Deadline(1e-4, label="march")
