@@ -25,8 +25,9 @@ full API:
   (``python -m repro.verify``).
 * :mod:`repro.errors`   — the shared exception hierarchy (everything
   the package raises derives from :class:`ReproError`).
-* :mod:`repro.resilience` — deadlines, solver retry ladders,
-  checkpoint/resume and crash-recovery accounting for long campaigns.
+* :mod:`repro.resilience` — deadlines, checkpoint/resume and
+  crash-recovery accounting for long campaigns (the solver's retry
+  ladder is fixed, in :mod:`repro.spice.solver`).
 * :mod:`repro.service` — campaign-as-a-service: the frozen
   :class:`CampaignSpec` job description, the content-addressed
   :class:`ResultCache` (never simulate the same fault twice) and the
@@ -57,7 +58,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.faults import CampaignResult, FaultCampaign
-from repro.resilience import FailureReport, RetryPolicy
+from repro.resilience import FailureReport
 from repro.service import CampaignScheduler, CampaignSpec, ResultCache
 from repro.session import RunResult, Session
 from repro.signals import Waveform
@@ -88,7 +89,6 @@ __all__ = [
     "CampaignScheduler",
     # resilience + errors
     "FailureReport",
-    "RetryPolicy",
     "ReproError",
     "NewtonError",
     "DeckError",

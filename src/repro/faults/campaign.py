@@ -61,6 +61,10 @@ _ERROR_UNDETECTED = "undetected"
 #: fatal worker crashes before a fault is quarantined as a poison pill.
 _QUARANTINE_AFTER = 2
 
+#: seconds past a pooled shard's per-fault budgets before the parent
+#: hard-kills it (see :meth:`_JobRun.shard_budget`)
+TIMEOUT_GRACE_S = 1.0
+
 
 @dataclass
 class FaultOutcome:
@@ -637,15 +641,13 @@ class _JobRun:
                 # transient's)
                 self.surrogate_key = spec.surrogate_context_key()
         self.tracker = ProgressTracker(self.total, callback=spec.progress,
-                                       heartbeat_every=spec.heartbeat_every,
                                        label=label)
         self.deadline = (Deadline(spec.campaign_deadline_s, label="campaign")
                          if spec.campaign_deadline_s is not None else None)
         self.ckpt: Optional[CampaignCheckpoint] = None
         if spec.checkpoint is not None:
             self.ckpt = CampaignCheckpoint(spec.checkpoint,
-                                           spec.content_key(),
-                                           every=spec.checkpoint_every)
+                                           spec.content_key())
         #: whether shards go to a process pool (else the executor loop
         #: runs them on its own thread): decided by :meth:`stage`
         self.pooled = False
@@ -804,15 +806,12 @@ class _JobRun:
         if self.ckpt is not None and save:
             self.save_checkpoint()
 
-    def save_checkpoint(self, force: bool = False) -> None:
+    def save_checkpoint(self) -> None:
         """Inside the service a failed checkpoint write (full disk,
         failed rename) costs recomputation after a crash, never the
         dispatcher; a standalone campaign raises it."""
         try:
-            if force:
-                self.ckpt.save(self.outcomes, self.total)
-            else:
-                self.ckpt.maybe_save(self.outcomes, self.total)
+            self.ckpt.save(self.outcomes, self.total)
         except OSError:
             if not self.best_effort_checkpoint:
                 raise
@@ -910,14 +909,13 @@ class _JobRun:
     def shard_budget(self, shard: _Shard) -> Optional[float]:
         """Wall clock before the parent hard-kills ``shard``: one
         per-fault budget per member, plus one for a batched shard's
-        batch attempt (every member may then re-run alone), plus the
-        grace."""
+        batch attempt (every member may then re-run alone), plus
+        :data:`TIMEOUT_GRACE_S`."""
         timeout = self.spec.fault_timeout_s
         if timeout is None or shard.kind != "faults":
             return None
         extra = 1 if shard.batched else 0
-        return ((len(shard.indices) + extra) * timeout
-                + self.spec.timeout_grace_s)
+        return (len(shard.indices) + extra) * timeout + TIMEOUT_GRACE_S
 
     def complete(self) -> bool:
         if self.failures.deadline_hit:
@@ -950,7 +948,7 @@ class _JobRun:
         result.partial = bool(failures.skipped or failures.deadline_hit
                               or failures.timeouts or failures.quarantined)
         if self.ckpt is not None:
-            self.save_checkpoint(force=True)
+            self.save_checkpoint()
         result.elapsed_s = time.perf_counter() - self.t0
         if self.cache is not None:
             result.cache_stats = self.cache.stats.delta(self.cache_stats0)
@@ -1159,9 +1157,8 @@ class FaultCampaign:
         rate, evaluating pid); completion is reported in fault order in
         both the serial and the pooled path, so the callback sees the
         same sequence either way.  Under an observation scope the run
-        additionally emits ``campaign.heartbeat`` events (and a
-        ``campaign.heartbeats`` counter) every ``heartbeat_every``
-        completions.
+        additionally emits one ``campaign.heartbeat`` event (and a
+        ``campaign.heartbeats`` count) per completed fault.
 
         Resilience knobs (all on the spec)
         ----------------------------------
@@ -1169,7 +1166,7 @@ class FaultCampaign:
             Wall-clock budget per fault.  Serially (and cooperatively in
             workers) the engine's Newton/transient/march loops check the
             deadline; in pooled mode the parent additionally hard-kills
-            and rebuilds the pool ``timeout_grace_s`` after the budget,
+            and rebuilds the pool :data:`TIMEOUT_GRACE_S` after the budget,
             which also catches techniques that never reach a cooperative
             check.  A timed-out fault is recorded as a structured
             outcome (``timed_out=True``, ``error="timeout: ..."``) and
@@ -1179,10 +1176,10 @@ class FaultCampaign:
             On expiry, evaluation stops (in pooled mode the pool is
             killed); faults never evaluated are listed in
             ``result.failures.skipped`` and the result is ``partial``.
-        checkpoint / resume / checkpoint_every:
+        checkpoint / resume:
             ``checkpoint=path`` persists completed outcomes atomically
-            every ``checkpoint_every`` completions, keyed by a content
-            hash of (technique, fault universe, config).
+            after every completed fault, keyed by a content hash of
+            (technique, fault universe, config).
             ``resume=True`` reloads the file, skips finished faults and
             produces a result whose ``to_dict()`` matches an
             uninterrupted run's.  Resuming a file written for a

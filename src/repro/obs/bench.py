@@ -108,8 +108,7 @@ def _recovery_specs(workdir: str, n_jobs: int = 8, n_faults: int = 8):
             technique=_recovery_measure, detector=_recovery_detect,
             target=_recovery_divider(), faults=faults,
             name=f"recovery-{j}", workers=1,
-            checkpoint=os.path.join(workdir, f"job{j}.ckpt"),
-            checkpoint_every=1))
+            checkpoint=os.path.join(workdir, f"job{j}.ckpt")))
     return specs
 
 

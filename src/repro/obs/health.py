@@ -20,8 +20,8 @@ module supplies:
   aggregation (outcomes carry the evaluating pid) plus slow-fault and
   slow-worker flagging against robust (median-based) thresholds.
 
-Heartbeats are structured events (``campaign.heartbeat``) in the
-ambient :class:`~repro.obs.log.EventLog`, plus a
+Heartbeats are structured events (``campaign.heartbeat``), one per
+completed fault, in the ambient :class:`~repro.obs.log.EventLog`, plus a
 ``campaign.heartbeats`` counter so parity is checkable through the
 metrics snapshot alone.
 """
@@ -77,17 +77,14 @@ ProgressCallback = Callable[[CampaignProgress], None]
 
 
 class ProgressTracker:
-    """Feeds a progress callback and heartbeat events from completed
-    fault outcomes (in fault order; see module docstring)."""
+    """Feeds a progress callback and one heartbeat event per completed
+    fault outcome (in fault order; see module docstring)."""
 
     def __init__(self, total: int,
                  callback: Optional[ProgressCallback] = None,
-                 heartbeat_every: int = 1, label: str = "") -> None:
-        if heartbeat_every < 1:
-            raise ValueError("heartbeat_every must be >= 1")
+                 label: str = "") -> None:
         self.total = total
         self.callback = callback
-        self.heartbeat_every = heartbeat_every
         self.label = label
         self.done = 0
         self._t0 = time.perf_counter()
@@ -111,7 +108,7 @@ class ProgressTracker:
             worker_pid=getattr(outcome, "worker_pid", None),
             job=self.label)
         self.last = progress
-        if OBS.enabled and self.done % self.heartbeat_every == 0:
+        if OBS.enabled:
             OBS.metrics.counter("campaign.heartbeats").inc()
             OBS.metrics.gauge("campaign.eta_s").set(eta)
             OBS.metrics.gauge("campaign.progress").set(progress.fraction)

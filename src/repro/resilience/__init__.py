@@ -1,5 +1,4 @@
-"""Resilience layer: deadlines, retry ladders, checkpoints, crash
-recovery.
+"""Resilience layer: deadlines, checkpoints, crash recovery.
 
 The paper's detection figures come from sweeping large fault universes
 through transient simulation; at production scale those campaigns must
@@ -9,9 +8,6 @@ campaign/solver layers wire them through:
 
 * :mod:`repro.resilience.deadline` — cooperative wall-clock deadlines
   (ambient, tightest-wins, checked inside the Newton/transient loops);
-* :mod:`repro.resilience.retry` — the configurable solver escalation
-  ladder (gmin stepping → source stepping → timestep halving) with
-  ``solver.retry`` observability;
 * :mod:`repro.resilience.checkpoint` — atomic, content-keyed
   checkpoint/resume for fault campaigns;
 * :mod:`repro.resilience.durable` — the atomic-write, fsync'd-append,
@@ -52,13 +48,6 @@ from repro.resilience.deadline import (
     installed,
 )
 from repro.resilience.failure import FailureReport
-from repro.resilience.retry import (
-    DEFAULT_RETRY_POLICY,
-    RetryPolicy,
-    active_policy,
-    note_retry,
-    retry_scope,
-)
 
 __all__ = [
     # deadlines
@@ -69,12 +58,6 @@ __all__ = [
     "deadline_scope",
     "installed",
     "DeadlineExceeded",
-    # retry ladder
-    "RetryPolicy",
-    "DEFAULT_RETRY_POLICY",
-    "active_policy",
-    "retry_scope",
-    "note_retry",
     # checkpoint/resume
     "CampaignCheckpoint",
     "campaign_key",

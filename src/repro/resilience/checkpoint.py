@@ -120,7 +120,8 @@ def campaign_key(technique: Callable, detector: Callable, target: Any,
 
 
 class CampaignCheckpoint:
-    """Periodic atomic persistence of a campaign's completed outcomes.
+    """Atomic persistence of a campaign's completed outcomes, saved
+    after every completed fault.
 
     Parameters
     ----------
@@ -128,17 +129,11 @@ class CampaignCheckpoint:
         Checkpoint file location (created on first save).
     key:
         The campaign's content key (see :func:`campaign_key`).
-    every:
-        Save frequency in completed faults (1 = after every fault).
     """
 
-    def __init__(self, path: str, key: str, every: int = 1) -> None:
-        if every < 1:
-            raise ValueError("checkpoint interval must be >= 1")
+    def __init__(self, path: str, key: str) -> None:
         self.path = os.fspath(path)
         self.key = key
-        self.every = every
-        self._since_save = 0
 
     # ------------------------------------------------------------------
     def load(self) -> Dict[int, Any]:
@@ -195,16 +190,6 @@ class CampaignCheckpoint:
         }
         atomic_write(self.path,
                      pickle.dumps(doc, protocol=pickle.HIGHEST_PROTOCOL))
-        self._since_save = 0
-
-    def maybe_save(self, outcomes: Dict[int, Any], n_faults: int) -> bool:
-        """Save when ``every`` completions have accumulated since the
-        last write; returns True when a write happened."""
-        self._since_save += 1
-        if self._since_save >= self.every:
-            self.save(outcomes, n_faults)
-            return True
-        return False
 
 
 def _strip(outcome: Any) -> Any:

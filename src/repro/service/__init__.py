@@ -13,7 +13,7 @@ FaultCampaign` runs into submitted **jobs**:
   processes;
 * :class:`~repro.service.scheduler.CampaignScheduler` — a background
   dispatcher sharding submitted fault universes across a shared worker
-  pool with priority and fair share, composing with deadlines, retry,
+  pool with priority and fair share, composing with deadlines,
   checkpointing, poison-pill quarantine and the cache;
 * :class:`~repro.service.queue.PersistentJobQueue` — a write-ahead
   JSONL journal of accepted jobs and their state transitions, so a

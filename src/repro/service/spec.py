@@ -16,6 +16,13 @@ threshold, and :meth:`resolved` fills the remaining holes from explicit
 fallbacks and then :data:`DEFAULTS`.  The dataclass is frozen so a spec
 can be hashed into content keys, shared between concurrent scheduler
 jobs and shipped to worker processes without defensive copying.
+
+A run checkpoints and heartbeats after every completed fault, and a
+pooled shard is killed :data:`~repro.faults.campaign.TIMEOUT_GRACE_S`
+past its fault budgets: these are fixed, not spec options.  Journal
+lines written while they were still spec fields carry their three keys;
+:meth:`CampaignSpec.from_dict` reads only :attr:`_SCALAR_FIELDS` and so
+ignores them.
 """
 
 from __future__ import annotations
@@ -38,9 +45,6 @@ DEFAULTS: Dict[str, Any] = {
     "errors_as_detected": True,
     "workers": 1,
     "batch_size": 1,
-    "checkpoint_every": 1,
-    "timeout_grace_s": 1.0,
-    "heartbeat_every": 1,
 }
 
 #: option fields subject to None-means-inherit resolution.
@@ -85,13 +89,10 @@ class CampaignSpec:
     campaign_deadline_s: Optional[float] = None
     checkpoint: Optional[str] = None
     resume: bool = False
-    checkpoint_every: Optional[int] = None
-    timeout_grace_s: Optional[float] = None
 
     # -- progress + service options ------------------------------------
     progress: Optional[Callable[[Any], None]] = field(default=None,
                                                       compare=False)
-    heartbeat_every: Optional[int] = None
     priority: int = 0
     cache: Optional[Any] = field(default=None, compare=False)
 
@@ -100,8 +101,7 @@ class CampaignSpec:
             object.__setattr__(self, "faults", tuple(self.faults))
         if self.threshold is not None and not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
-        for name in ("workers", "batch_size", "checkpoint_every",
-                     "heartbeat_every"):
+        for name in ("workers", "batch_size"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -109,9 +109,6 @@ class CampaignSpec:
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive")
-        if (self.timeout_grace_s is not None
-                and self.timeout_grace_s < 0):
-            raise ValueError("timeout_grace_s must be non-negative")
         if self.resume and self.checkpoint is None:
             raise ValueError("resume=True requires checkpoint=<path>")
         if self.prescreen not in (None, "surrogate"):
@@ -217,8 +214,7 @@ class CampaignSpec:
     _SCALAR_FIELDS = ("name", "threshold", "errors_as_detected", "workers",
                       "batch_size", "prescreen", "fault_timeout_s",
                       "campaign_deadline_s", "checkpoint", "resume",
-                      "checkpoint_every", "timeout_grace_s",
-                      "heartbeat_every", "priority")
+                      "priority")
 
     #: object fields carried through the pickle blob (callables,
     #: circuits, fault objects — not JSON-representable).

@@ -154,9 +154,8 @@ class Session:
     #: keyword arguments of :meth:`run_campaign` that belong on the
     #: :class:`~repro.service.spec.CampaignSpec` (resilience/progress/
     #: service knobs) rather than the campaign constructor.
-    _RUN_KWARGS = ("progress", "heartbeat_every", "fault_timeout_s",
-                   "campaign_deadline_s", "checkpoint", "resume",
-                   "checkpoint_every", "timeout_grace_s")
+    _RUN_KWARGS = ("progress", "fault_timeout_s", "campaign_deadline_s",
+                   "checkpoint", "resume")
 
     def run_campaign(self, technique: Callable[[Any], Any],
                      detector: Callable[[Any, Any], float],

@@ -66,13 +66,11 @@ import numpy as np
 
 from repro.obs.core import OBS, event
 from repro.resilience.deadline import DEADLINE
-from repro.resilience.retry import RetryPolicy
 from repro.spice.fastpath import (MOSFETGroup, count_march,
                                   linear_march_supported, recur)
 from repro.spice.mna import MNASystem
 from repro.spice.netlist import Circuit
 from repro.spice.solver import (
-    VTOL,
     NewtonError,
     NewtonProgress,
     checked_solve,
@@ -105,13 +103,9 @@ class BatchedMarch:
                  record: Optional[Sequence[str]] = None,
                  record_branches: Optional[Sequence[str]] = None,
                  method: str = "be",
-                 max_newton: int = 60,
-                 max_subdivisions: Optional[int] = None,
-                 retry_policy: Optional[RetryPolicy] = None,
                  validate: bool = True) -> None:
         self.circuits = list(circuits)
-        self.grid = MarchGrid(t_stop, dt, method, max_newton,
-                              max_subdivisions, retry_policy)
+        self.grid = MarchGrid(t_stop, dt, method)
         self.grid.check_end(self.circuits[0].name if self.circuits else "")
         self.record = record
         self.record_branches = record_branches
@@ -309,12 +303,12 @@ class _NewtonGroup:
         for v in live:
             v.begin_step(v.x, t_from, t_to)
             self.x_prev[self.row[v.slot]] = v.x
-        outcomes = self._newton(live, march.grid.max_newton)
+        outcomes = self._newton(live, march.grid.newton_budget)
         for v, out in zip(list(live), outcomes):
             if isinstance(out, NewtonError):
                 try:
                     v.x = v.subdivide(v.x, t_from, t_to,
-                                      march.grid.max_subdivisions, out)
+                                      march.grid.max_depth, out)
                 except NewtonError as exc:
                     march._evict(v.slot, f"NewtonError: {exc}")
                     live.remove(v)
@@ -353,8 +347,7 @@ class _NewtonGroup:
                 v, p = live[j], progress[j]
                 try:
                     converged = p.step(checked_solve(MNASystem.solve_fast,
-                                                     v.assembler._scratch),
-                                       VTOL)
+                                                     v.assembler._scratch))
                 except NewtonError as exc:
                     note_solve(v.assembler, v.state, iteration, exc, p.stalled)
                     outcomes[j] = exc
@@ -377,9 +370,6 @@ def batched_transient(circuits: Sequence[Circuit], t_stop: float, dt: float,
                       record: Optional[Sequence[str]] = None,
                       record_branches: Optional[Sequence[str]] = None,
                       method: str = "be",
-                      max_newton: int = 60,
-                      max_subdivisions: Optional[int] = None,
-                      retry_policy: Optional[RetryPolicy] = None,
                       validate: bool = True
                       ) -> List[Optional[TransientResult]]:
     """Run K transients in lockstep; results align with ``circuits``.
@@ -391,7 +381,5 @@ def batched_transient(circuits: Sequence[Circuit], t_stop: float, dt: float,
     """
     march = BatchedMarch(circuits, t_stop, dt, record=record,
                          record_branches=record_branches, method=method,
-                         max_newton=max_newton,
-                         max_subdivisions=max_subdivisions,
-                         retry_policy=retry_policy, validate=validate)
+                         validate=validate)
     return march.run()

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack as _lapack
 
 from repro.obs.core import OBS
@@ -242,8 +241,6 @@ class Assembler:
         self._g_static: Optional[np.ndarray] = None
         self._b_const = np.zeros(self.n)
         self._b_key: Optional[Tuple] = None
-        self._lu = None
-        self._lu_key: Optional[Tuple] = None
 
     @property
     def is_linear(self) -> bool:
@@ -256,13 +253,11 @@ class Assembler:
         return SimState(self.index, self.n)
 
     def invalidate(self) -> None:
-        """Drop cached matrices/factorizations (call after mutating an
-        element's value in place)."""
+        """Drop cached matrices (call after mutating an element's value
+        in place)."""
         self._static_key = None
         self._g_static = None
         self._b_key = None
-        self._lu = None
-        self._lu_key = None
 
     def _refresh_static(self, state: SimState) -> None:
         """Restamp the static portion of G for the present configuration."""
@@ -345,27 +340,6 @@ class Assembler:
                 elem.stamp(sys, state)
         np.copyto(self._b_const, sys.b)
         self._b_key = bkey
-
-    def solve_cached_lu(self, sys: MNASystem) -> np.ndarray:
-        """Solve via an LU factorization cached per static configuration.
-
-        Only valid for linear circuits, where the built matrix equals
-        the static matrix: one factorization then serves every timestep
-        (back-substitution only).
-        """
-        if self._lu_key != self._static_key or self._lu is None:
-            self._lu = scipy.linalg.lu_factor(sys.g, check_finite=False)
-            self._lu_key = self._static_key
-            if OBS.enabled:
-                OBS.metrics.counter("mna.lu_factorizations").inc()
-        elif OBS.enabled:
-            OBS.metrics.counter("mna.lu_reuses").inc()
-        lu, piv = self._lu
-        x, info = _lapack.dgetrs(lu, piv, sys.b)
-        if info != 0:
-            raise np.linalg.LinAlgError(
-                f"dgetrs failed (info={info}) on cached factorization")
-        return x
 
     def voltages(self, x: np.ndarray) -> Dict[str, float]:
         """Translate a solution vector into a node-voltage dict."""

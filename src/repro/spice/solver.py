@@ -18,7 +18,6 @@ from repro.errors import NewtonError
 from repro.obs.core import OBS, counter_value, event
 from repro.obs.core import span as obs_span
 from repro.resilience.deadline import DEADLINE
-from repro.resilience.retry import RetryPolicy, active_policy, note_retry
 from repro.spice.mna import Assembler, MNASystem, SimState
 from repro.spice.netlist import Circuit
 from repro.spice.validate import validate_deck
@@ -32,6 +31,15 @@ MAX_STEP_V = 0.6
 
 #: Newton convergence tolerance: the largest per-iteration move [V].
 VTOL = 1e-7
+
+#: The DC solve's retry ladder, tried in order after plain Newton fails:
+#: gmin stepping relaxes the shunt gmin through ``GMIN_LADDER`` (the
+#: last entry is the operating gmin), then source stepping ramps every
+#: independent source from 0 to 100 % in ``SOURCE_STEPS`` points while
+#: holding a ``SOURCE_GMIN`` safety floor.
+GMIN_LADDER = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-10, 1e-12)
+SOURCE_STEPS = 21
+SOURCE_GMIN = 1e-9
 
 
 #: A transient Newton solve *stalls* when its best max-move has not
@@ -61,9 +69,9 @@ class NewtonProgress:
         self.since = 0
         self.stalled = False
 
-    def step(self, x_new: np.ndarray, vtol: float) -> bool:
+    def step(self, x_new: np.ndarray) -> bool:
         """Move toward the linear solve ``x_new`` (clamped to
-        ``MAX_STEP_V``); True once the move is below ``vtol``.  Raises
+        ``MAX_STEP_V``); True once the move is below ``VTOL``.  Raises
         :class:`NewtonError` when the solve has stalled."""
         x = self.x
         delta = x_new - x
@@ -73,7 +81,7 @@ class NewtonProgress:
             self.x = x + delta * (MAX_STEP_V / max_move)
         else:
             self.x = x_new
-        if max_move < vtol:
+        if max_move < VTOL:
             return True
         if self.stall_check:
             if max_move < STALL_SHRINK * self.best:
@@ -93,6 +101,17 @@ class NewtonProgress:
         """The failure of a solve that used up its iteration budget."""
         return NewtonError(f"Newton failed to converge in {max_iter} "
                            f"iterations (last move {self.max_move:.3g} V)")
+
+
+def note_retry(strategy: str, **fields) -> None:
+    """Record one escalation rung: a ``solver.retry`` event plus
+    aggregate and per-strategy counters (no-op when observability is
+    off)."""
+    if not OBS.enabled:
+        return
+    OBS.metrics.counter("solver.retries").inc()
+    OBS.metrics.counter(f"solver.retries.{strategy}").inc()
+    event("solver.retry", level="warning", strategy=strategy, **fields)
 
 
 def checked_solve(solve, sys: MNASystem) -> np.ndarray:
@@ -132,7 +151,7 @@ def note_solve(assembler: Assembler, state: SimState, iterations: int,
 
 
 def newton_solve(assembler: Assembler, state: SimState,
-                 max_iter: int = 120, vtol: float = VTOL,
+                 max_iter: int = 120,
                  x0: Optional[np.ndarray] = None) -> np.ndarray:
     """Damped Newton iteration on the MNA system for the present state.
 
@@ -144,11 +163,11 @@ def newton_solve(assembler: Assembler, state: SimState,
     state.x = x
     if assembler.fast_path and assembler.is_linear:
         # Linear circuits: the matrix is constant for this configuration,
-        # so Newton collapses to a single solve through a cached LU
-        # factorization (factor once per (dt, method, gmin), then
-        # back-substitute on every call).
+        # so Newton collapses to a single solve, which reuses the
+        # factorization of the bit-identical matrix the previous call
+        # presented (see :meth:`MNASystem.solve_fast`).
         sys = assembler.build(state)
-        x_new = checked_solve(assembler.solve_cached_lu, sys)
+        x_new = checked_solve(MNASystem.solve_fast, sys)
         state.x = x_new
         state.stats["linear_solves"] += 1
         note_solve(assembler, state, 1)
@@ -163,7 +182,7 @@ def newton_solve(assembler: Assembler, state: SimState,
             if DEADLINE.active is not None:
                 DEADLINE.active.check("newton_solve")
             converged = progress.step(
-                checked_solve(solve, assembler.build(state)), vtol)
+                checked_solve(solve, assembler.build(state)))
             state.x = progress.x
             if converged:
                 note_solve(assembler, state, iteration)
@@ -176,9 +195,7 @@ def newton_solve(assembler: Assembler, state: SimState,
 
 def dc_operating_point(circuit: Circuit, t: float = 0.0,
                        x0: Optional[np.ndarray] = None,
-                       max_iter: int = 120,
                        fast_path: bool = True,
-                       retry_policy: Optional[RetryPolicy] = None,
                        validate: bool = True) -> Tuple[Dict[str, float], np.ndarray]:
     """Solve the DC operating point at time ``t``.
 
@@ -186,10 +203,10 @@ def dc_operating_point(circuit: Circuit, t: float = 0.0,
     conditions, which are weakly enforced).  Returns
     ``(node_voltages, solution_vector)``.  ``fast_path=False`` runs the
     reference stamp-everything engine (used by the equivalence tests).
-    ``retry_policy`` bounds/configures the non-convergence escalation
-    ladder (default: the ambient policy, see
-    :mod:`repro.resilience.retry`).  ``validate=False`` skips the
-    pre-flight deck checks (floating nodes, voltage-source loops).
+    A failed Newton solve escalates through the fixed retry ladder
+    (:data:`GMIN_LADDER`, then :data:`SOURCE_STEPS` of source stepping).
+    ``validate=False`` skips the pre-flight deck checks (floating nodes,
+    voltage-source loops).
     """
     if validate:
         validate_deck(circuit)
@@ -201,69 +218,57 @@ def dc_operating_point(circuit: Circuit, t: float = 0.0,
     with obs_span("dc_operating_point", circuit=circuit.name,
                   fast_path=fast_path) as sp:
         it0 = counter_value("solver.newton_iterations")
-        x = _solve_with_homotopy(assembler, state, x0=x0, max_iter=max_iter,
-                                 policy=retry_policy)
+        x = _solve_with_homotopy(assembler, state, x0=x0)
         sp.set(newton_iterations=counter_value("solver.newton_iterations") - it0)
     return assembler.voltages(x), x
 
 
 def _solve_with_homotopy(assembler: Assembler, state: SimState,
                          x0: Optional[np.ndarray] = None,
-                         max_iter: int = 120,
-                         policy: Optional[RetryPolicy] = None) -> np.ndarray:
-    """Plain Newton, then the policy's retry ladder: gmin stepping, then
-    source stepping.  Each escalation emits a ``solver.retry`` event."""
-    if policy is None:
-        policy = active_policy()
-
+                         max_iter: int = 120) -> np.ndarray:
+    """Plain Newton, then the retry ladder: gmin stepping, then source
+    stepping.  Each escalation emits a ``solver.retry`` event."""
     # Strategy 1: plain Newton.
     state.gmin = 1e-12
     state.source_scale = 1.0
     try:
         return newton_solve(assembler, state, max_iter=max_iter, x0=x0)
-    except NewtonError as exc:
-        first_error = exc
+    except NewtonError:
+        pass
 
     # Strategy 2: gmin stepping.
-    if policy.gmin_ladder:
-        if OBS.enabled:
-            OBS.metrics.counter("solver.homotopy_gmin_escalations").inc()
-            event("solver.homotopy_escalation", strategy="gmin_stepping",
-                  circuit=assembler.circuit.name)
-        note_retry("gmin_stepping", circuit=assembler.circuit.name,
-                   steps=len(policy.gmin_ladder))
-        x = x0
-        try:
-            for gmin in policy.gmin_ladder:
-                state.gmin = gmin
-                x = newton_solve(assembler, state, max_iter=max_iter, x0=x)
-            return x
-        except NewtonError:
-            pass
+    if OBS.enabled:
+        OBS.metrics.counter("solver.homotopy_gmin_escalations").inc()
+        event("solver.homotopy_escalation", strategy="gmin_stepping",
+              circuit=assembler.circuit.name)
+    note_retry("gmin_stepping", circuit=assembler.circuit.name,
+               steps=len(GMIN_LADDER))
+    x = x0
+    try:
+        for gmin in GMIN_LADDER:
+            state.gmin = gmin
+            x = newton_solve(assembler, state, max_iter=max_iter, x0=x)
+        return x
+    except NewtonError:
+        pass
 
     # Strategy 3: source stepping (with a safety gmin floor).
-    if policy.source_steps >= 2:
-        if OBS.enabled:
-            OBS.metrics.counter("solver.homotopy_source_escalations").inc()
-            event("solver.homotopy_escalation", strategy="source_stepping",
-                  circuit=assembler.circuit.name)
-        note_retry("source_stepping", circuit=assembler.circuit.name,
-                   steps=policy.source_steps)
-        x = None
-        state.gmin = policy.source_gmin
-        try:
-            for scale in np.linspace(0.0, 1.0, policy.source_steps):
-                state.source_scale = float(scale)
-                x = newton_solve(assembler, state, max_iter=max_iter, x0=x)
-            state.source_scale = 1.0
-            state.gmin = 1e-12
-            return newton_solve(assembler, state, max_iter=max_iter, x0=x)
-        except NewtonError as exc:
-            raise NewtonError(
-                f"operating point failed for circuit "
-                f"{assembler.circuit.name!r}: {exc}") from exc
-
-    # The ladder is disabled (or exhausted): surface the Newton verdict.
-    raise NewtonError(
-        f"operating point failed for circuit {assembler.circuit.name!r}: "
-        f"{first_error}") from first_error
+    if OBS.enabled:
+        OBS.metrics.counter("solver.homotopy_source_escalations").inc()
+        event("solver.homotopy_escalation", strategy="source_stepping",
+              circuit=assembler.circuit.name)
+    note_retry("source_stepping", circuit=assembler.circuit.name,
+               steps=SOURCE_STEPS)
+    x = None
+    state.gmin = SOURCE_GMIN
+    try:
+        for scale in np.linspace(0.0, 1.0, SOURCE_STEPS):
+            state.source_scale = float(scale)
+            x = newton_solve(assembler, state, max_iter=max_iter, x0=x)
+        state.source_scale = 1.0
+        state.gmin = 1e-12
+        return newton_solve(assembler, state, max_iter=max_iter, x0=x)
+    except NewtonError as exc:
+        raise NewtonError(
+            f"operating point failed for circuit "
+            f"{assembler.circuit.name!r}: {exc}") from exc

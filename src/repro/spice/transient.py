@@ -3,7 +3,7 @@
 The engine walks a uniform output grid (``dt``), solving the nonlinear
 companion-model system at each point with Newton.  If a step refuses to
 converge (typical at switching edges), the step is recursively halved up
-to ``max_subdivisions`` levels — the output grid is unchanged, only the
+to ``MAX_SUBDIVISIONS`` levels — the output grid is unchanged, only the
 internal march is refined.
 
 This module is the march core of both transient engines: a
@@ -21,14 +21,14 @@ import numpy as np
 
 from repro.obs.core import OBS, counter_value, event
 from repro.resilience.deadline import DEADLINE
-from repro.resilience.retry import RetryPolicy, active_policy, note_retry
 from repro.signals.waveform import Waveform
 from repro.spice.elements import (Capacitor, CurrentSource, Inductor,
                                   VoltageSource)
 from repro.spice.fastpath import LinearMarch, linear_march_supported
 from repro.spice.mna import Assembler, SimState
 from repro.spice.netlist import Circuit, GROUND
-from repro.spice.solver import NewtonError, newton_solve, _solve_with_homotopy
+from repro.spice.solver import (NewtonError, _solve_with_homotopy,
+                                newton_solve, note_retry)
 from repro.spice.validate import validate_deck
 
 
@@ -148,32 +148,36 @@ _SUBDIVISION_STORM = 16
 #: gmin shunt every transient march (and its linear recurrence) runs at
 _GMIN = 1e-12
 
+#: Newton iteration budget of one timepoint solve; the march's DC seed
+#: gets twice this.  A timepoint's solve also stops early when it stalls
+#: (see :data:`repro.spice.solver.STALL_ITERS`).
+MAX_NEWTON = 60
+
+#: levels of local step halving a failed timepoint may try before its
+#: Newton error surfaces
+MAX_SUBDIVISIONS = 8
+
 
 class MarchGrid:
     """The uniform output grid and step policy that one march — or a
     batch of them — walks: ``n_steps`` steps of ``dt`` (``times``), the
     integration ``method``, and each step's Newton budget and
-    subdivision depth.  Construction validates the arguments and takes
-    the default depth from the retry policy."""
+    subdivision depth.  Construction validates the arguments and reads
+    the budget and depth from :data:`MAX_NEWTON` and
+    :data:`MAX_SUBDIVISIONS`."""
 
-    def __init__(self, t_stop: float, dt: float, method: str,
-                 max_newton: int, max_subdivisions: Optional[int],
-                 retry_policy: Optional[RetryPolicy]) -> None:
+    def __init__(self, t_stop: float, dt: float, method: str) -> None:
         if t_stop <= 0:
             raise ValueError("t_stop must be positive")
         if dt <= 0 or dt > t_stop:
             raise ValueError("dt must lie in (0, t_stop]")
         if method not in ("be", "trap"):
             raise ValueError(f"unknown method {method!r}")
-        if max_subdivisions is None:
-            policy = (retry_policy if retry_policy is not None
-                      else active_policy())
-            max_subdivisions = policy.max_timestep_halvings
         self.t_stop = t_stop
         self.dt = dt
         self.method = method
-        self.max_newton = max_newton
-        self.max_subdivisions = max_subdivisions
+        self.newton_budget = MAX_NEWTON
+        self.max_depth = MAX_SUBDIVISIONS
         self.n_steps = int(round(t_stop / dt))
         self.times = dt * np.arange(self.n_steps + 1)
         #: id(source value) -> (value, its samples at ``times``)
@@ -294,7 +298,7 @@ class CircuitMarch:
             state.dt = None
             self.set_time(0.0)
             x = _solve_with_homotopy(asm, state,
-                                     max_iter=self.grid.max_newton * 2)
+                                     max_iter=self.grid.newton_budget * 2)
         self.x = x
         self.capture(0, x)
         state.gmin = _GMIN
@@ -316,14 +320,14 @@ class CircuitMarch:
 
     def step(self, k: int) -> None:
         """Newton-advance to grid point ``k`` and record it; raises
-        :class:`NewtonError` once ``max_subdivisions`` halvings fail."""
+        :class:`NewtonError` once :data:`MAX_SUBDIVISIONS` halvings fail."""
         grid, state = self.grid, self.state
         # Trapezoidal integration needs a consistent initial capacitor
         # current; a backward-Euler start-up step provides it even when
         # sources are discontinuous at t = 0 (the SPICE convention).
         state.method = "be" if (grid.method == "trap" and k == 1) else grid.method
         t_from, t_to = grid.step_span(k)
-        self.x = self._advance(self.x, t_from, t_to, grid.max_subdivisions)
+        self.x = self._advance(self.x, t_from, t_to, grid.max_depth)
         self.capture(k, self.x)
 
     def _advance(self, x: np.ndarray, t_from: float, t_to: float,
@@ -333,7 +337,7 @@ class CircuitMarch:
         self.begin_step(x, t_from, t_to)
         try:
             x_new = newton_solve(self.assembler, self.state,
-                                 max_iter=self.grid.max_newton, x0=x)
+                                 max_iter=self.grid.newton_budget, x0=x)
         except NewtonError as exc:
             return self.subdivide(x, t_from, t_to, depth, exc)
         self.end_step(x_new)
@@ -441,12 +445,14 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
               method: str = "be",
               x0: Optional[np.ndarray] = None,
               uic: bool = False,
-              max_newton: int = 60,
-              max_subdivisions: Optional[int] = None,
               fast_path: bool = True,
-              retry_policy: Optional[RetryPolicy] = None,
               validate: bool = True) -> TransientResult:
     """Run a transient analysis from t = 0 to ``t_stop``.
+
+    Each timepoint's Newton solve gets :data:`MAX_NEWTON` iterations
+    (the DC seed twice this) and stops early when it stalls (see
+    :data:`repro.spice.solver.STALL_ITERS`); a failed step is halved up
+    to :data:`MAX_SUBDIVISIONS` levels before its error surfaces.
 
     Parameters
     ----------
@@ -470,30 +476,17 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
     uic:
         "Use initial conditions": skip the OP solve and start from zero /
         capacitor ``ic`` values, as SPICE's ``UIC`` does.
-    max_newton:
-        Newton iteration budget per solve (the operating point gets
-        twice this).  A transient timepoint's solve also stops early,
-        and has its step halved, when it stalls: its best move has not
-        shrunk by 10% in 8 iterations (see
-        :data:`repro.spice.solver.STALL_ITERS`).
-    max_subdivisions:
-        Levels of local step halving tried on Newton failure.  Default:
-        the retry policy's ``max_timestep_halvings`` (historically 8).
     fast_path:
         Enable the partitioned/cached engine and, for fully linear
         backward-Euler circuits, the one-factorization linear march.
         ``False`` runs the reference stamp-everything engine (the
         equivalence tests compare the two).
-    retry_policy:
-        Escalation ladder for non-convergence recovery (default: the
-        ambient policy; see :mod:`repro.resilience.retry`).
     validate:
         Run pre-flight deck validation (floating nodes, voltage-source
         loops) before simulating; raises
         :class:`~repro.errors.DeckError` naming the offender.
     """
-    grid = MarchGrid(t_stop, dt, method, max_newton, max_subdivisions,
-                     retry_policy)
+    grid = MarchGrid(t_stop, dt, method)
     if validate:
         validate_deck(circuit)
     if not OBS.enabled:

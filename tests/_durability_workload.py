@@ -73,8 +73,7 @@ def standard_specs(workdir: str, n_faults: int = 6,
             technique=slow_measure_mid, detector=delta_detector,
             target=divider(), faults=tuple(mid_faults(n_faults, offset)),
             name=f"durable-{i}", priority=priority, workers=workers,
-            checkpoint=os.path.join(workdir, f"job{i}.ckpt"),
-            checkpoint_every=1))
+            checkpoint=os.path.join(workdir, f"job{i}.ckpt")))
     return specs
 
 

@@ -31,6 +31,7 @@ from repro.resilience.chaos import (
 )
 from repro.service import (
     CampaignSpec,
+    QUEUE_SCHEMA,
     PersistentJobQueue,
     QueueError,
     ResultCache,
@@ -69,7 +70,7 @@ def _spec(tmp_path=None, n=4, **overrides):
 class TestSpecSerialization:
     def test_roundtrip_preserves_identity_and_options(self, tmp_path):
         spec = _spec(tmp_path, threshold=0.25, priority=3,
-                     fault_timeout_s=9.0, checkpoint_every=2)
+                     fault_timeout_s=9.0)
         clone = CampaignSpec.from_dict(spec.to_dict())
         assert clone.content_key() == spec.content_key()
         assert clone.context_key() == spec.context_key()
@@ -78,6 +79,35 @@ class TestSpecSerialization:
         assert clone.checkpoint == spec.checkpoint
         assert clone.name == "durable"
         assert len(clone.faults) == len(spec.faults)
+
+    @staticmethod
+    def _older_doc(spec):
+        """``spec.to_dict()`` as journals written while the checkpoint
+        interval, heartbeat interval and kill grace were spec options
+        carry it."""
+        doc = spec.to_dict()
+        doc.update(timeout_grace_s=0.3, checkpoint_every=2,
+                   heartbeat_every=2)
+        return doc
+
+    def test_older_doc_rebuilds_with_same_keys(self, tmp_path):
+        spec = _spec(tmp_path, fault_timeout_s=9.0)
+        clone = CampaignSpec.from_dict(self._older_doc(spec))
+        assert clone.content_key() == spec.content_key()
+        assert clone.context_key() == spec.context_key()
+
+    def test_older_journal_replays_job_as_pending(self, tmp_path):
+        spec = _spec(tmp_path).resolved()
+        path = tmp_path / "q.jsonl"
+        path.write_text(json.dumps({
+            "schema": QUEUE_SCHEMA, "event": "submitted", "job": "old-job",
+            "priority": 0, "key": spec.content_key(),
+            "spec": self._older_doc(spec), "t": 1700000000.0}) + "\n")
+        queue = PersistentJobQueue(str(path))
+        assert queue.corrupt == 0
+        [rec] = queue.pending()
+        assert rec.job_id == "old-job" and rec.state == "submitted"
+        assert rec.spec().content_key() == spec.content_key()
 
     def test_doc_is_json_serialisable_and_tagged(self):
         doc = _spec().to_dict()

@@ -480,13 +480,6 @@ class TestCampaignHealth:
         assert serial.metrics.counter_values() == \
             pooled.metrics.counter_values()
 
-    def test_heartbeat_every(self):
-        with obs.observe() as o:
-            FaultCampaign(_mid_voltage, _shift_detector, threshold=0.5).run(
-                divider(), _divider_faults(),
-                spec=CampaignSpec(heartbeat_every=2))
-        assert o.metrics.counter_values()["campaign.heartbeats"] == 2
-
     def test_span_tree_parity_serial_vs_workers(self):
         # pooled workers finish out of order, but outcomes are recorded
         # in fault order — so the grafted span tree must match the

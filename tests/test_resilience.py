@@ -9,7 +9,6 @@ explicitly (see the ``resilience-chaos`` CI job).
 
 import concurrent.futures
 import os
-import pickle
 import signal
 import threading
 import time
@@ -37,13 +36,11 @@ from repro.resilience import (
     CampaignCheckpoint,
     Deadline,
     FailureReport,
-    RetryPolicy,
     active_deadline,
     campaign_key,
     check_deadline,
     deadline_scope,
     installed,
-    retry_scope,
 )
 from repro.service import CampaignScheduler, CampaignSpec
 from repro.signals.prbs import prbs_waveform
@@ -287,24 +284,12 @@ class TestDeadline:
 # ---------------------------------------------------------------------------
 class TestRetryPolicy:
     def test_defaults_match_historical_ladder(self):
-        p = RetryPolicy()
-        assert p.gmin_ladder[0] == 1e-2 and p.gmin_ladder[-1] == 1e-12
-        assert p.source_steps == 21
-        assert p.max_timestep_halvings == 8
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(source_steps=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(gmin_ladder=(0.0,))
-        with pytest.raises(ValueError):
-            RetryPolicy(max_timestep_halvings=-2)
-
-    def test_policy_is_picklable_and_frozen(self):
-        p = RetryPolicy()
-        assert pickle.loads(pickle.dumps(p)) == p
-        with pytest.raises(Exception):
-            p.source_steps = 5  # frozen dataclass
+        from repro.spice.solver import GMIN_LADDER, SOURCE_STEPS
+        from repro.spice.transient import MAX_NEWTON, MAX_SUBDIVISIONS
+        assert GMIN_LADDER[0] == 1e-2 and GMIN_LADDER[-1] == 1e-12
+        assert SOURCE_STEPS == 21
+        assert MAX_SUBDIVISIONS == 8
+        assert MAX_NEWTON == 60
 
     def test_ladder_recovery_emits_retry_events(self):
         """The hard stack fails plain Newton; the default ladder recovers
@@ -318,32 +303,6 @@ class TestRetryPolicy:
         retry_events = h.events.records(name="solver.retry")
         assert retry_events
         assert retry_events[0]["fields"]["strategy"] == "gmin_stepping"
-
-    def test_policy_none_fails_fast(self):
-        with pytest.raises(NewtonError):
-            dc_operating_point(hard_stack(),
-                               retry_policy=RetryPolicy.none())
-
-    def test_ambient_scope_governs_solves(self):
-        with retry_scope(RetryPolicy.none()):
-            with pytest.raises(NewtonError):
-                dc_operating_point(hard_stack())
-        # scope restored: the default ladder recovers again
-        v, _ = dc_operating_point(hard_stack())
-        assert v["n0"] > 0.0
-
-    def test_explicit_policy_overrides_ambient(self):
-        with retry_scope(RetryPolicy.none()):
-            v, _ = dc_operating_point(hard_stack(),
-                                      retry_policy=RetryPolicy())
-        assert v["n0"] > 0.0
-
-    def test_transient_subdivision_budget_from_policy(self):
-        # max_subdivisions defaults to the policy's halving budget
-        ckt = divider()
-        res = transient(ckt, t_stop=1e-4, dt=1e-5,
-                        retry_policy=RetryPolicy(max_timestep_halvings=0))
-        assert len(res.times) == 11
 
 
 # ---------------------------------------------------------------------------
@@ -465,17 +424,6 @@ class TestCheckpoint:
             assert CampaignCheckpoint(str(path), "k").load() == {}
         assert (tmp_path / "c.ckpt.corrupt").exists()
 
-    def test_interval_batches_writes(self, tmp_path):
-        from repro.faults.campaign import FaultOutcome
-        _, faults, key = self._campaign_bits()
-        path = str(tmp_path / "c.ckpt")
-        ckpt = CampaignCheckpoint(path, key, every=3)
-        o = FaultOutcome(fault=faults[0], detection=0.0, detected=False)
-        assert not ckpt.maybe_save({0: o}, 4)
-        assert not ckpt.maybe_save({0: o}, 4)
-        assert ckpt.maybe_save({0: o}, 4)
-        assert os.path.exists(path)
-
     def test_resume_requires_checkpoint_path(self):
         c = FaultCampaign(measure_mid, delta_detector)
         with pytest.raises(ValueError, match="resume"):
@@ -496,8 +444,7 @@ class TestCampaignResilience:
                           errors_as_detected=errors_as_detected,
                           workers=workers)
         res = c.run(ckt, faults, reference=2.0,
-                    spec=CampaignSpec(fault_timeout_s=0.05,
-                                      timeout_grace_s=5.0))
+                    spec=CampaignSpec(fault_timeout_s=0.05))
         assert res.n_faults == 2
         assert res.n_timeouts == 2
         assert res.partial
@@ -648,8 +595,7 @@ class TestCampaignResilience:
             with pytest.raises(KeyboardInterrupt):
                 FaultCampaign(chaos_technique, delta_detector).run(
                     ckt, faults, reference=2.0,
-                    spec=spec.replace(checkpoint=ckpt_path,
-                                      checkpoint_every=1))
+                    spec=spec.replace(checkpoint=ckpt_path))
         finally:
             os.environ.pop("REPRO_TEST_INTERRUPT", None)
         assert os.path.exists(ckpt_path)
@@ -693,7 +639,7 @@ class TestCampaignResilience:
             res = run_pooled(CampaignSpec(
                 technique=chaos_technique, detector=delta_detector,
                 target=divider(), faults=tuple(faults), reference=2.0,
-                fault_timeout_s=0.4, timeout_grace_s=0.3))
+                fault_timeout_s=0.4))
         assert res.n_faults == 6          # every fault accounted for
         assert res.partial
         rep = res.failure_report()

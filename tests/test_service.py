@@ -182,9 +182,8 @@ class TestCampaignSpec:
 
     @pytest.mark.parametrize("bad", [
         dict(threshold=1.5), dict(threshold=-0.1), dict(workers=0),
-        dict(batch_size=0), dict(checkpoint_every=0),
-        dict(heartbeat_every=0), dict(fault_timeout_s=0.0),
-        dict(campaign_deadline_s=-1.0), dict(timeout_grace_s=-0.5),
+        dict(batch_size=0), dict(fault_timeout_s=0.0),
+        dict(campaign_deadline_s=-1.0),
         dict(resume=True),                 # resume needs a checkpoint
     ])
     def test_validation(self, bad):

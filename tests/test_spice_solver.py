@@ -120,6 +120,21 @@ class TestTransientEngine:
         # started from the settled OP: stays settled
         assert np.allclose(res.array("b"), 1.0, atol=1e-6)
 
+    def test_singular_linear_deck_raises_newton_error(self):
+        """An exactly singular linear matrix (a source shorted by an
+        inductor at DC) surfaces as a singular-matrix NewtonError, not
+        a warning and a non-finite solution."""
+        import warnings
+
+        ckt = Circuit("vlr")
+        ckt.vsource("V1", "a", "0", 1.0)
+        ckt.inductor("L1", "a", "0", 1e-3)
+        ckt.resistor("R1", "a", "0", 1e3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NewtonError, match="singular MNA matrix"):
+                transient(ckt, t_stop=1e-3, dt=1e-4, validate=False)
+
 
 class TestLinearize:
     def _rc(self):
@@ -242,9 +257,14 @@ class TestStallRule:
                 assert np.array_equal(got[node], want[node])
 
     def test_cycling_reference_timepoint_fails_fast(self, monkeypatch):
+        import importlib
+
         from repro.obs.core import observe
         from repro.spice import solver
 
+        # the module, not the function ``repro.spice`` re-exports
+        march = importlib.import_module("repro.spice.transient")
+        monkeypatch.setattr(march, "MAX_SUBDIVISIONS", 0)
         circuits, cfg = self._e7_circuits()
         # The reference's first failing solve is at grid point 216.
         t_stop = 220 * cfg.sim_dt_s
@@ -253,7 +273,7 @@ class TestStallRule:
             with observe() as o:
                 with pytest.raises(NewtonError) as info:
                     transient(circuits[0], t_stop, cfg.sim_dt_s,
-                              record=["3"], max_subdivisions=0)
+                              record=["3"])
             rec = o.events.records(name="solver.newton_nonconvergence")
             assert len(rec) == 1
             stalls = o.metrics.counter_values().get("solver.newton_stalls", 0)
